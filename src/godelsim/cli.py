@@ -24,6 +24,7 @@ from .machine import (
     ID,
     LoopDetected,
     MachineParseError,
+    MalformedIDError,
     count_symbols,
     load_machine_file,
     run_with_loop_detection,
@@ -149,21 +150,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CliError(f"cannot read {args.machine}: {exc}") from exc
     start = _parse_input_spec(args.input, machine)
+    if args.budget < 0:
+        raise CliError(f"budget must be >= 0, got {args.budget}")
     records: list[dict] = []
 
     def on_visit(step_index: int, canon: ID) -> None:
-        if args.trace:
-            records.append(
-                {
-                    "record": "visit",
-                    "step": step_index,
-                    "state": canon.state,
-                    "head": canon.head,
-                    "tape": _tape_text(canon),
-                }
-            )
+        records.append(
+            {
+                "record": "visit",
+                "step": step_index,
+                "state": canon.state,
+                "head": canon.head,
+                "tape": _tape_text(canon),
+            }
+        )
 
-    outcome = run_with_loop_detection(machine, start, args.budget, on_visit)
+    try:
+        outcome = run_with_loop_detection(
+            machine, start, args.budget, on_visit if args.trace else None
+        )
+    except MalformedIDError as exc:
+        raise CliError(f"{args.input}: {exc}") from exc
     if isinstance(outcome, Halted):
         records.append(
             {

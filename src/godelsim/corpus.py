@@ -19,13 +19,13 @@ from .machine import (
     Halted,
     LoopDetected,
     Machine,
+    Runner,
     blank_id,
     canonicalize,
     count_symbols,
     naive_run,
     parse_machine_text,
     run_with_loop_detection,
-    step,
 )
 
 NAIVE_CONFIRM_FACTOR = 10
@@ -90,25 +90,16 @@ def corpus_machine(name: str) -> Machine:
     return parse_machine_text(_corpus_root().joinpath(name).read_text("utf-8"))
 
 
-def _replay_ids(machine: Machine, upto: int) -> list:
-    """Configurations at steps 0..upto by plain stepping (no repetition check)."""
-    ids = [blank_id(machine)]
-    for _ in range(upto):
-        nxt = step(machine, ids[-1])
-        if nxt is None:
-            break
-        ids.append(nxt)
-    return ids
-
-
 def _confirm_loop(machine: Machine, verdict: LoopDetected, budget: int) -> str:
     """Empty string when plain simulation backs the loop verdict, else a reason."""
-    ids = _replay_ids(machine, verdict.first_repeat_step)
-    if len(ids) != verdict.first_repeat_step + 1:
-        return "halted before the reported repeat step"
-    at = canonicalize(ids[verdict.first_repeat_step])
-    back = canonicalize(ids[verdict.first_repeat_step - verdict.period])
-    if at != back:
+    replay = Runner(machine, blank_id(machine), detect_loops=False)
+    canon = []
+    for target in (verdict.first_repeat_step - verdict.period, verdict.first_repeat_step):
+        while replay.steps < target:
+            if replay.advance() is not None:
+                return "halted before the reported repeat step"
+        canon.append(canonicalize(replay.snapshot()))
+    if canon[0] != canon[1]:
         return "configurations at the reported step and period do not match"
     confirm = naive_run(machine, blank_id(machine), budget * NAIVE_CONFIRM_FACTOR)
     if isinstance(confirm, Halted):

@@ -21,13 +21,10 @@ from .machine import (
     ID,
     LoopDetected,
     Machine,
-    RunOutcome,
+    Runner,
     blank_id,
-    canonicalize,
     count_symbols,
-    encode_id,
     run_with_loop_detection,
-    step,
     two_state_looper,
     unary_writer,
 )
@@ -111,33 +108,6 @@ def diagonal_pairs(task_count: int) -> Iterator[tuple[int, int]]:
         diagonal += 1
 
 
-class _LiveRun:
-    """Incremental loop-detected execution of one sub-run, one step per call."""
-
-    def __init__(self, sub: SubRun, sub_budget: int):
-        self.machine = sub.machine
-        self.current = sub.input
-        self.sub_budget = sub_budget
-        self.steps = 0
-        self.seen = {encode_id(canonicalize(sub.input)): 0}
-
-    def advance(self) -> Optional[RunOutcome]:
-        """One simulation step; a non-None return means the run just finished."""
-        nxt = step(self.machine, self.current)
-        if nxt is None:
-            return Halted(self.steps, self.current)
-        if self.steps == self.sub_budget:
-            return BudgetExceeded(self.sub_budget)
-        self.steps += 1
-        key = encode_id(canonicalize(nxt))
-        prev = self.seen.get(key)
-        if prev is not None:
-            return LoopDetected(self.steps, self.steps - prev)
-        self.seen[key] = self.steps
-        self.current = nxt
-        return None
-
-
 class _TaskState:
     def __init__(self, task: SearchTask):
         self.task = task
@@ -184,7 +154,7 @@ def dovetail(
     states = [_TaskState(task) for task in tasks]
     ranks = diagonal_pairs(len(tasks))
     pair_of_rank: list[tuple[int, int]] = []
-    runs: dict[int, Optional[_LiveRun]] = {}
+    runs: dict[int, Optional[Runner]] = {}
     global_step = 0
 
     def all_dead() -> bool:
@@ -214,7 +184,7 @@ def dovetail(
                     )
                     runs[rank] = None
                     continue
-                runs[rank] = _LiveRun(sub, sub_budget)
+                runs[rank] = Runner(sub.machine, sub.input)
                 state.trials_spawned += 1
             live = runs[rank]
             if live is None:
@@ -222,7 +192,10 @@ def dovetail(
             if global_step == global_budget:
                 return GlobalBudgetExceeded(global_budget)
             global_step += 1
-            outcome = live.advance()
+            if live.steps == sub_budget:
+                outcome = live.halted() or BudgetExceeded(sub_budget)
+            else:
+                outcome = live.advance()
             result = "advanced"
             if isinstance(outcome, Halted):
                 if state.task.accept(outcome):

@@ -9,6 +9,7 @@ over an unchanged tape pattern.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,9 +114,6 @@ class ID:
         return self.tape.get(cell, BLANK)
 
 
-InstantaneousDescription = ID
-
-
 def blank_id(machine: Machine) -> ID:
     """The all-blank starting configuration of ``machine``."""
     return ID(machine.start_state, 0, {})
@@ -186,6 +184,163 @@ def encode_id(desc: ID) -> bytes:
     return repr((desc.state, desc.head, cells)).encode("utf-8")
 
 
+# Every step compares its move with this; on Python 3.11 the attribute
+# lookup ``Move.RIGHT`` costs about ten times a module-global lookup.
+_RIGHT = Move.RIGHT
+
+# Karp–Rabin fingerprints of the tape relative to the head: modulus the
+# Mersenne prime 2**61 - 1, base fixed so keys are the same on every run.
+_FINGERPRINT_MODULUS = (1 << 61) - 1
+_FINGERPRINT_BASE = 1_000_003
+
+
+@functools.lru_cache(maxsize=None)
+def _fingerprint_factors(mod: int) -> tuple[int, int]:
+    """(r, r**-1) mod ``mod``: the fingerprint's factors for a move left and right."""
+    base = _FINGERPRINT_BASE % mod
+    return base, pow(base, -1, mod)
+
+
+def _tape_fingerprint(
+    tape: Mapping[int, str], head: int, codes: Mapping[str, int], base: int, mod: int
+) -> int:
+    """sum(codes[sym] * base**(cell - head)) mod ``mod``, by Horner's rule from the rightmost cell."""
+    fp, above = 0, None
+    for cell in sorted(tape, reverse=True):
+        if above is not None:
+            fp = fp * (base if above - cell == 1 else pow(base, above - cell, mod)) % mod
+        fp += codes[tape[cell]]
+        above = cell
+    return fp if above is None else fp * pow(base, above - head, mod) % mod
+
+
+class Runner:
+    """One run of ``machine`` from ``start``, advanced in place one step at a time.
+
+    The tape is a dict mutated in place, so a step costs O(1); an
+    immutable ``ID`` is built only on request (``snapshot``, ``Halted``).
+
+    With ``detect_loops`` each visited configuration is keyed by its state
+    and the fingerprint sum(code(sym) * r**(cell - head)) mod p, with symbol
+    codes taken from the sorted alphabet (blank = 0).  Being relative to the
+    head, the fingerprint follows a write or a one-cell move in O(1), and
+    translates share a key, as they share a form under ``canonicalize``.
+    A key hit is only a candidate: the earlier configuration is rebuilt by
+    replaying from ``start`` and compared exactly after ``canonicalize``, so
+    a collision costs time but never changes a verdict.
+    """
+
+    __slots__ = (
+        "machine", "start", "state", "head", "tape", "steps",
+        "seen", "exact", "codes", "fp", "mod", "left", "right",
+    )
+
+    def __init__(self, machine: Machine, start: ID, detect_loops: bool = True):
+        self.machine = machine
+        self.start = start
+        self.state = start.state
+        self.head = start.head
+        self.tape = dict(start.tape)
+        self.steps = 0
+        self.seen: Optional[dict[str, dict[int, int]]] = None
+        if not detect_loops:
+            return
+        # Foreign symbols of the start tape get codes too; reading one still raises.
+        symbols = sorted((machine.alphabet | set(self.tape.values())) - {BLANK})
+        self.codes = {BLANK: 0, **{sym: code for code, sym in enumerate(symbols, 1)}}
+        self.mod = mod = _FINGERPRINT_MODULUS
+        # A move to the left raises every exponent cell - head by one, a move right lowers it.
+        self.left, self.right = _fingerprint_factors(mod)
+        self.fp = _tape_fingerprint(self.tape, self.head, self.codes, self.left, mod)
+        self.seen = {self.state: {self.fp: 0}}
+        # (state, fingerprint) -> {encode_id of a canonical configuration: step}, for hit keys.
+        self.exact: dict[tuple[str, int], dict[bytes, int]] = {}
+
+    def snapshot(self) -> ID:
+        """The current configuration as an immutable ``ID``."""
+        return ID(self.state, self.head, self.tape)
+
+    def advance(self) -> Optional[Halted | LoopDetected]:
+        """Take one step.
+
+        Returns ``Halted`` (and changes nothing) when no rule applies,
+        ``LoopDetected`` when the new configuration repeats an earlier one
+        up to translation, and ``None`` otherwise.
+        """
+        tape, head = self.tape, self.head
+        old = tape.get(head, BLANK)
+        rule = self.machine.transitions.get((self.state, old))
+        if rule is None:
+            return self._halt(old)
+        state, new, move = rule
+        if new != old:
+            if new == BLANK:
+                del tape[head]
+            else:
+                tape[head] = new
+        self.state = state
+        self.steps += 1
+        right = move is _RIGHT
+        self.head = head + 1 if right else head - 1
+        seen = self.seen
+        if seen is None:
+            return None
+        fp = self.fp + self.codes[new] - self.codes[old]
+        self.fp = fp = fp * (self.right if right else self.left) % self.mod
+        by_fp = seen.get(state)
+        if by_fp is None:
+            by_fp = seen[state] = {}
+        first = by_fp.setdefault(fp, self.steps)
+        if first == self.steps:
+            return None
+        return self._confirm((state, fp), first)
+
+    def halted(self) -> Optional[Halted]:
+        """``Halted`` if no rule applies to the current configuration, else ``None``."""
+        sym = self.tape.get(self.head, BLANK)
+        if (self.state, sym) in self.machine.transitions:
+            return None
+        return self._halt(sym)
+
+    def run(
+        self, budget: int, on_visit: Optional[Callable[[int, ID], None]] = None
+    ) -> RunOutcome:
+        """Advance until an outcome, or for ``budget`` steps (see ``run_with_loop_detection``)."""
+        if budget < 0:
+            raise ValueError("budget must be >= 0")
+        if on_visit is not None:
+            on_visit(self.steps, canonicalize(self.snapshot()))
+        for _ in range(budget):
+            outcome = self.advance()
+            if isinstance(outcome, Halted):
+                return outcome
+            if on_visit is not None:
+                on_visit(self.steps, canonicalize(self.snapshot()))
+            if outcome is not None:
+                return outcome
+        return self.halted() or BudgetExceeded(budget)
+
+    def _halt(self, sym: str) -> Halted:
+        if self.state not in self.machine.states:
+            raise MalformedIDError(f"state {self.state!r} not in machine states")
+        if sym not in self.machine.alphabet:
+            raise MalformedIDError(f"symbol {sym!r} not in machine alphabet")
+        return Halted(self.steps, self.snapshot())
+
+    def _confirm(self, key: tuple[str, int], first: int) -> Optional[LoopDetected]:
+        """Decide a key hit exactly, against every earlier configuration with this key."""
+        exact = self.exact.get(key)
+        if exact is None:
+            earlier = Runner(self.machine, self.start, detect_loops=False)
+            for _ in range(first):
+                earlier.advance()
+            exact = self.exact[key] = {encode_id(canonicalize(earlier.snapshot())): first}
+        prev = exact.setdefault(encode_id(canonicalize(self.snapshot())), self.steps)
+        if prev == self.steps:
+            return None
+        return LoopDetected(self.steps, self.steps - prev)
+
+
 def run_with_loop_detection(
     machine: Machine,
     start: ID,
@@ -194,8 +349,8 @@ def run_with_loop_detection(
 ) -> RunOutcome:
     """Run ``machine`` from ``start``, self-terminating on a repeated configuration.
 
-    Every visited configuration is recorded in canonical form; the run
-    reports ``LoopDetected`` at the first step whose canonical form was
+    Every visited configuration is recorded up to translation; the run
+    reports ``LoopDetected`` at the first step whose configuration was
     seen before (period = distance back to the previous occurrence).
     ``Halted`` wins if a halting configuration appears first, and
     ``BudgetExceeded`` is returned after ``budget`` steps without either;
@@ -205,44 +360,12 @@ def run_with_loop_detection(
     ``on_visit`` observes (step index, canonical configuration) for every
     configuration visited, the start included.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    current = start
-    canon = canonicalize(current)
-    if on_visit is not None:
-        on_visit(0, canon)
-    seen = {encode_id(canon): 0}
-    for done in range(budget):
-        nxt = step(machine, current)
-        if nxt is None:
-            return Halted(done, current)
-        canon = canonicalize(nxt)
-        if on_visit is not None:
-            on_visit(done + 1, canon)
-        key = encode_id(canon)
-        prev = seen.get(key)
-        if prev is not None:
-            return LoopDetected(done + 1, done + 1 - prev)
-        seen[key] = done + 1
-        current = nxt
-    if step(machine, current) is None:
-        return Halted(budget, current)
-    return BudgetExceeded(budget)
+    return Runner(machine, start).run(budget, on_visit)
 
 
 def naive_run(machine: Machine, start: ID, budget: int) -> Halted | BudgetExceeded:
     """Plain simulation without any repetition check (loops run the budget out)."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    current = start
-    for done in range(budget + 1):
-        nxt = step(machine, current)
-        if nxt is None:
-            return Halted(done, current)
-        if done == budget:
-            break
-        current = nxt
-    return BudgetExceeded(budget)
+    return Runner(machine, start, detect_loops=False).run(budget)
 
 
 def count_symbols(desc: ID, symbol: str = "1") -> int:

@@ -213,3 +213,30 @@ def test_property_named_like_a_fixed_column_is_prefixed(tmp_path):
     assert code == 0
     rows = records_of(out)
     assert rows[0]["prop_t"] == 9 and rows[0]["t"] == 0
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: ")
+    assert json.loads(lines[1])["record"] == "manifest"
+    assert "Traceback" not in err
+
+
+def test_run_negative_budget_is_a_clean_error():
+    code, out, err = invoke("run", corpus_path("grow_right.tm"), "--budget", "-1")
+    assert_one_line_error(code, out, err)
+    assert "budget" in err.splitlines()[0]
+
+
+def test_run_reading_a_foreign_symbol_is_a_clean_error():
+    code, out, err = invoke("run", corpus_path("grow_right.tm"), "--input", "cells:0=x")
+    assert_one_line_error(code, out, err)
+    assert "'x'" in err.splitlines()[0]
+
+
+def test_run_foreign_symbol_never_read_runs_as_before():
+    # grow_right only moves right, so the head never reaches cell -1.
+    code, out, _ = invoke("run", corpus_path("grow_right.tm"), "--input", "cells:-1=x", "--budget", "20")
+    assert code == 3
+    assert records_of(out)[-1] == {"record": "outcome", "kind": "budget-exceeded", "budget": 20}

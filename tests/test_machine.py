@@ -1,9 +1,12 @@
 """Machine semantics: stepping, canonical forms, keys, and loop-detected runs."""
 
 import random
+import tracemalloc
 
 import pytest
 
+import godelsim.machine
+from godelsim.corpus import corpus_machine, verify_corpus
 from godelsim.machine import (
     BLANK,
     BudgetExceeded,
@@ -14,6 +17,8 @@ from godelsim.machine import (
     MachineParseError,
     MalformedIDError,
     Move,
+    Runner,
+    blank_id,
     canonicalize,
     encode_id,
     load_machine_file,
@@ -25,7 +30,7 @@ from godelsim.machine import (
     unary_writer,
 )
 
-from helpers import canonical_tuple, random_id, random_machine
+from helpers import canonical_tuple, naive_outcome, random_id, random_machine
 
 
 def test_step_empty_table_halts():
@@ -229,3 +234,100 @@ def test_concurrent_runs_match_sequential_results():
     with ThreadPoolExecutor(max_workers=8) as pool:
         concurrent = list(pool.map(lambda job: run_with_loop_detection(*job), jobs))
     assert concurrent == sequential
+
+
+# --- the incremental runner against plain stepping ------------------------------
+
+
+def brute_force_run(machine, start, budget):
+    """Loop-detected outcome by plain stepping and a list of canonical tuples."""
+    seen = [canonical_tuple(start)]
+    current = start
+    for done in range(budget):
+        nxt = step(machine, current)
+        if nxt is None:
+            return Halted(done, current)
+        key = canonical_tuple(nxt)
+        if key in seen:
+            return LoopDetected(done + 1, done + 1 - seen.index(key))
+        seen.append(key)
+        current = nxt
+    if step(machine, current) is None:
+        return Halted(budget, current)
+    return BudgetExceeded(budget)
+
+
+def random_runs(seed, machines=300, starts=4):
+    """(machine, start, budget) triples: each random machine from several random starts."""
+    rng = random.Random(seed)
+    runs = []
+    for _ in range(machines):
+        machine = random_machine(rng)
+        runs += [(machine, random_id(rng), rng.randint(0, 60)) for _ in range(starts)]
+    return runs
+
+
+def naive_as_outcome(machine, start, budget):
+    result = naive_outcome(machine, start, budget)
+    return Halted(result[1], result[2]) if result[0] == "halt" else BudgetExceeded(budget)
+
+
+def test_runner_matches_brute_force_on_random_machines():
+    verdicts = set()
+    for machine, start, budget in random_runs(101):
+        outcome = run_with_loop_detection(machine, start, budget)
+        assert outcome == brute_force_run(machine, start, budget)
+        assert naive_run(machine, start, budget) == naive_as_outcome(machine, start, budget)
+        verdicts.add(type(outcome))
+    assert verdicts == {Halted, LoopDetected, BudgetExceeded}
+
+
+def test_forced_fingerprint_collisions_leave_verdicts_unchanged(monkeypatch):
+    runs = random_runs(103)
+    before = [run_with_loop_detection(*run) for run in runs]
+    corpus_before = verify_corpus()
+    monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", 3)
+    assert [run_with_loop_detection(*run) for run in runs] == before
+    assert verify_corpus() == corpus_before
+    assert all(result.passed for result in corpus_before)
+    # grow_right never repeats, yet with three fingerprint values almost every step is a hit.
+    machine = corpus_machine("grow_right.tm")
+    runner = Runner(machine, blank_id(machine))
+    assert runner.run(50) == BudgetExceeded(50)
+    assert len(runner.exact) >= 3
+
+
+def test_runner_raises_only_when_a_foreign_symbol_is_read():
+    rng = random.Random(107)
+    raised = finished = 0
+    for machine, start, budget in random_runs(109, 100):
+        tape = dict(start.tape)
+        tape[rng.randint(-5, 5)] = "x"
+        start = ID(start.state, start.head, tape)
+        try:
+            expected = brute_force_run(machine, start, budget)
+        except MalformedIDError:
+            raised += 1
+            for run in (run_with_loop_detection, naive_run):
+                with pytest.raises(MalformedIDError):
+                    run(machine, start, budget)
+            continue
+        finished += 1
+        assert run_with_loop_detection(machine, start, budget) == expected
+    assert raised and finished
+
+
+def test_peak_memory_grows_linearly_with_the_budget():
+    machine = corpus_machine("grow_right.tm")
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            run_with_loop_detection(machine, blank_id(machine), budget)
+            naive_run(machine, blank_id(machine), budget)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Linear growth gives a ratio near 2; a copy of the tape per step gives about 4.
+    assert peak(2000) < 3 * peak(1000)
