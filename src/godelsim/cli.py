@@ -268,6 +268,10 @@ def cmd_beta(args: argparse.Namespace) -> int:
 
 
 def cmd_dovetail(args: argparse.Namespace) -> int:
+    if args.sub_budget < 1:
+        raise CliError(f"sub-budget must be >= 1, got {args.sub_budget}")
+    if args.global_budget < 1:
+        raise CliError(f"global-budget must be >= 1, got {args.global_budget}")
     tasks = []
     resolved = []
     for index, spec in enumerate(args.task):

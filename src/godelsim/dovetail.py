@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from .machine import (
@@ -128,6 +129,9 @@ class _TaskState:
         )
 
 
+_LiveRun = tuple[int, int, _TaskState, Runner]
+
+
 def dovetail(
     tasks: Sequence[SearchTask],
     sub_budget: int,
@@ -136,13 +140,18 @@ def dovetail(
 ) -> DovetailOutcome:
     """Interleave every trial of every task until one is accepted.
 
-    The scheduler repeatedly sweeps a growing prefix of the diagonal
-    enumeration, giving each live pair one step per sweep and admitting
-    one new pair per sweep.  The first accepted halt in schedule order
-    wins.  If every task reports itself exhausted and all spawned runs
-    have died unaccepted, the per-task tallies are returned; otherwise
-    the global step budget bounds the total work.  The whole procedure
-    is a single sequential loop, so results are reproducible bit for bit.
+    The scheduler keeps the runs still live in rank order.  Each sweep
+    steps every one of them once, then admits the next pair of the
+    diagonal enumeration: its generator is called only once the earlier
+    runs have stepped, and its run, if any, steps at the end of the same
+    sweep.  A run that halts, loops or spends its sub-budget leaves the
+    list and never emits another event, so a sweep costs O(live runs + 1)
+    and memory stays O(live runs), however many ranks have been admitted.
+    The first accepted halt in schedule order wins.  If every task reports
+    itself exhausted and all spawned runs have died unaccepted, the
+    per-task tallies are returned; otherwise the global step budget bounds
+    the total work.  The whole procedure is a single sequential loop, so
+    results are reproducible bit for bit.
     """
     if not tasks:
         raise ValueError("tasks must be non-empty")
@@ -152,52 +161,50 @@ def dovetail(
         raise ValueError("task ids must be unique")
 
     states = [_TaskState(task) for task in tasks]
-    ranks = diagonal_pairs(len(tasks))
-    pair_of_rank: list[tuple[int, int]] = []
-    runs: dict[int, Optional[Runner]] = {}
+    exhausted = 0  # tasks whose generator has returned None
+    # (rank, trial, task state, runner) of every live run, in rank order.
+    live: list[_LiveRun] = []
     global_step = 0
 
-    def all_dead() -> bool:
-        return all(state.exhausted_at is not None for state in states) and not any(
-            run is not None for run in runs.values()
-        )
+    def admit(rank: int, state: _TaskState, trial: int) -> Iterator[_LiveRun]:
+        """Yield the run of a newly admitted pair, if its task still has trials.
 
-    admitted = 0
+        Being a generator, its body runs only when the sweep reaches it,
+        after every earlier live run has stepped, so a sweep cut short by
+        the global budget never calls the task's generator.
+        """
+        nonlocal exhausted
+        # Cantor order hands each task its trials in increasing order, so
+        # once a task has no trial at some index it has none at any later rank.
+        if state.exhausted_at is not None:
+            return
+        sub = state.task.generator(trial)
+        if sub is None:
+            state.exhausted_at = trial
+            exhausted += 1
+            return
+        state.trials_spawned += 1
+        yield rank, trial, state, Runner(sub.machine, sub.input)
+
+    ranks = enumerate(diagonal_pairs(len(tasks)))
     while True:
-        if all_dead():
+        if exhausted == len(states) and not live:
             return AllExhausted(tuple(state.status() for state in states))
-        pair_of_rank.append(next(ranks))
-        admitted += 1
-        for rank in range(admitted):
-            task_idx, trial = pair_of_rank[rank]
-            state = states[task_idx]
-            if rank not in runs:
-                if state.exhausted_at is not None and trial >= state.exhausted_at:
-                    runs[rank] = None
-                    continue
-                sub = state.task.generator(trial)
-                if sub is None:
-                    state.exhausted_at = (
-                        trial
-                        if state.exhausted_at is None
-                        else min(state.exhausted_at, trial)
-                    )
-                    runs[rank] = None
-                    continue
-                runs[rank] = Runner(sub.machine, sub.input)
-                state.trials_spawned += 1
-            live = runs[rank]
-            if live is None:
-                continue
+        new_rank, (task_idx, new_trial) = next(ranks)
+        survivors = []
+        for entry in chain(live, admit(new_rank, states[task_idx], new_trial)):
+            rank, trial, state, run = entry
             if global_step == global_budget:
                 return GlobalBudgetExceeded(global_budget)
             global_step += 1
-            if live.steps == sub_budget:
-                outcome = live.halted() or BudgetExceeded(sub_budget)
+            if run.steps == sub_budget:
+                outcome = run.halted() or BudgetExceeded(sub_budget)
             else:
-                outcome = live.advance()
-            result = "advanced"
-            if isinstance(outcome, Halted):
+                outcome = run.advance()
+            if outcome is None:
+                result = "advanced"
+                survivors.append(entry)
+            elif isinstance(outcome, Halted):
                 if state.task.accept(outcome):
                     result = "halted-accepted"
                 else:
@@ -206,7 +213,7 @@ def dovetail(
             elif isinstance(outcome, LoopDetected):
                 result = "loop-detected"
                 state.loops_detected += 1
-            elif isinstance(outcome, BudgetExceeded):
+            else:
                 result = "sub-budget-exhausted"
                 state.sub_budget_exhausted += 1
             if observer is not None:
@@ -216,8 +223,7 @@ def dovetail(
             if result == "halted-accepted":
                 assert isinstance(outcome, Halted)
                 return FirstSuccess(state.task.task_id, trial, outcome)
-            if outcome is not None:
-                runs[rank] = None
+        live = survivors
 
 
 class VacuousReason(enum.Enum):

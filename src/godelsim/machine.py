@@ -253,8 +253,8 @@ class Runner:
         self.left, self.right = _fingerprint_factors(mod)
         self.fp = _tape_fingerprint(self.tape, self.head, self.codes, self.left, mod)
         self.seen = {self.state: {self.fp: 0}}
-        # (state, fingerprint) -> {encode_id of a canonical configuration: step}, for hit keys.
-        self.exact: dict[tuple[str, int], dict[bytes, int]] = {}
+        # (state, fingerprint) -> {canonical key of a configuration: step}, for hit keys.
+        self.exact: dict[tuple[str, int], dict[tuple, int]] = {}
 
     def snapshot(self) -> ID:
         """The current configuration as an immutable ``ID``."""
@@ -327,6 +327,19 @@ class Runner:
             raise MalformedIDError(f"symbol {sym!r} not in machine alphabet")
         return Halted(self.steps, self.snapshot())
 
+    def _canonical_key(self) -> tuple:
+        """The current configuration up to translation, as a hashable tuple.
+
+        It is the form ``canonicalize`` gives (the leftmost written cell, or
+        the head on a blank tape, moved to 0), and the tape never holds a
+        blank, so two keys are equal exactly when the ``encode_id`` of the
+        canonical configurations are; no ``ID`` is built.
+        """
+        tape = self.tape
+        shift = min(tape) if tape else self.head
+        cells = tuple(sorted((cell - shift, sym) for cell, sym in tape.items()))
+        return self.state, self.head - shift, cells
+
     def _confirm(self, key: tuple[str, int], first: int) -> Optional[LoopDetected]:
         """Decide a key hit exactly, against every earlier configuration with this key."""
         exact = self.exact.get(key)
@@ -334,8 +347,8 @@ class Runner:
             earlier = Runner(self.machine, self.start, detect_loops=False)
             for _ in range(first):
                 earlier.advance()
-            exact = self.exact[key] = {encode_id(canonicalize(earlier.snapshot())): first}
-        prev = exact.setdefault(encode_id(canonicalize(self.snapshot())), self.steps)
+            exact = self.exact[key] = {earlier._canonical_key(): first}
+        prev = exact.setdefault(self._canonical_key(), self.steps)
         if prev == self.steps:
             return None
         return LoopDetected(self.steps, self.steps - prev)

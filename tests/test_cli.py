@@ -5,6 +5,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
+import pytest
+
 from godelsim import cli
 
 
@@ -240,3 +242,11 @@ def test_run_foreign_symbol_never_read_runs_as_before():
     code, out, _ = invoke("run", corpus_path("grow_right.tm"), "--input", "cells:-1=x", "--budget", "20")
     assert code == 3
     assert records_of(out)[-1] == {"record": "outcome", "kind": "budget-exceeded", "budget": 20}
+
+
+@pytest.mark.parametrize("flag", ["--sub-budget", "--global-budget"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_dovetail_nonpositive_budget_is_a_clean_error(flag, value):
+    code, out, err = invoke("dovetail", corpus_path("halt0.tm") + "=zero-of", flag, value)
+    assert_one_line_error(code, out, err)
+    assert flag.lstrip("-") in err.splitlines()[0]

@@ -1,6 +1,8 @@
 """Diagonal scheduling, machine-backed evaluation, and total least-zero search."""
 
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -23,7 +25,13 @@ from godelsim.dovetail import (
 )
 from godelsim.machine import blank_id, two_state_looper
 
-from helpers import brute_least_zero, rank_to_pair, reference_dovetail
+from helpers import (
+    brute_least_zero,
+    random_id,
+    random_machine,
+    rank_to_pair,
+    reference_dovetail,
+)
 
 
 def fn_task(task_id, fn):
@@ -179,3 +187,182 @@ def test_t1_t2_parity_reaches_zero_trial_first():
     # parity(0) = 0, so the zero-accepting task wins at trial 0.
     assert isinstance(outcome, FirstSuccess)
     assert (outcome.task_id, outcome.trial) == (0, 0)
+
+
+# --- live-rank scheduler against the reference engine ---------------------------
+
+
+def writer_task(task_id, values, accept, trials=None, diverging=frozenset()):
+    """Trial y writes values[y % len(values)] in unary, or loops if y is in ``diverging``."""
+    backing = MachineBackedFunction(
+        lambda y: values[y % len(values)], frozenset((y,) for y in diverging)
+    )
+
+    def generator(y):
+        if trials is not None and y >= trials:
+            return None
+        return backing.subrun(y)
+
+    return SearchTask(task_id, generator, accept)
+
+
+def random_machine_task(task_id, seed, trials=None):
+    """Trial y runs a random 3-state machine from a random start; accepts nothing."""
+
+    def generator(y):
+        if trials is not None and y >= trials:
+            return None
+        rng = random.Random(seed * 1000 + y)
+        return SubRun(random_machine(rng), random_id(rng))
+
+    return SearchTask(task_id, generator, lambda halted: False)
+
+
+ACCEPTS = {
+    "zero": lambda halted: unary_output(halted) == 0,
+    "nonzero": lambda halted: unary_output(halted) != 0,
+    "never": lambda halted: False,
+}
+
+
+def random_task_mix(rng):
+    """2-4 tasks with distinct, non-contiguous ids; finite ones may have 0 trials."""
+    ids = rng.sample(range(10, 60), rng.randint(2, 4))
+    tasks = []
+    for task_id in ids:
+        trials = rng.choice((None, 0, 1, 2, 3, 5, 8))
+        kind = rng.choice(("looper", "writer", "writer", "random"))
+        if kind == "looper":
+            tasks.append(looper_task(task_id, trials))
+        elif kind == "writer":
+            values = [rng.randint(0, 7) for _ in range(rng.randint(1, 6))]
+            diverging = frozenset(y for y in range(8) if rng.random() < 0.15)
+            accept = ACCEPTS[rng.choice(("zero", "nonzero", "never", "never"))]
+            tasks.append(writer_task(task_id, values, accept, trials, diverging))
+        else:
+            tasks.append(random_machine_task(task_id, rng.randrange(10**6), trials))
+    return tasks
+
+
+def traced_dovetail(tasks, sub_budget, global_budget):
+    events = []
+    outcome = dovetail(
+        tasks, sub_budget, global_budget,
+        observer=lambda e: events.append((e.global_step, e.rank, e.task_id, e.trial, e.result)),
+    )
+    return events, outcome
+
+
+def describe(outcome):
+    """The outcome in ``reference_dovetail``'s terms."""
+    if isinstance(outcome, FirstSuccess):
+        return ("first-success", outcome.task_id, outcome.trial, outcome.evidence.steps)
+    if isinstance(outcome, AllExhausted):
+        return ("all-exhausted",)
+    return ("global-budget-exceeded",)
+
+
+def statuses_from_events(tasks, events):
+    """Per-task tallies re-derived from a reference trace that ended all-exhausted.
+
+    Every spawned run steps in the sweep that admits it, so the trials
+    spawned are exactly the distinct trials the trace names.
+    """
+    out = []
+    for task in tasks:
+        mine = [e for e in events if e[2] == task.task_id]
+        counts = Counter(e[4] for e in mine)
+        out.append(
+            (
+                task.task_id,
+                len({e[3] for e in mine}),
+                counts["halted-rejected"],
+                counts["loop-detected"],
+                counts["sub-budget-exhausted"],
+                True,
+            )
+        )
+    return out
+
+
+def test_differential_against_reference_at_every_global_budget():
+    rng = random.Random(4_2003)
+    endings = set()
+    results = set()
+    for _ in range(30):
+        tasks = random_task_mix(rng)
+        sub_budget = rng.randint(1, 6)
+        for global_budget in range(1, 82):
+            events, outcome = traced_dovetail(tasks, sub_budget, global_budget)
+            ref_events, ref_outcome = reference_dovetail(tasks, sub_budget, global_budget)
+            assert events == ref_events
+            assert describe(outcome) == ref_outcome
+            results.update(e[4] for e in events)
+            if isinstance(outcome, GlobalBudgetExceeded):
+                assert outcome.global_budget == global_budget
+            elif isinstance(outcome, AllExhausted):
+                got = [
+                    (s.task_id, s.trials_spawned, s.halted_rejected, s.loops_detected,
+                     s.sub_budget_exhausted, s.exhausted)
+                    for s in outcome.statuses
+                ]
+                assert got == statuses_from_events(tasks, ref_events)
+            if ref_outcome != ("global-budget-exceeded",):
+                break  # every larger budget ends the same way
+        endings.add(ref_outcome[0])
+    # The mixes reach every ending and every kind of event.
+    assert endings == {"first-success", "all-exhausted", "global-budget-exceeded"}
+    assert results == {
+        "advanced", "halted-accepted", "halted-rejected", "loop-detected", "sub-budget-exhausted",
+    }
+
+
+def recording_tasks(tasks, log):
+    """Wrap each generator so its calls are logged; a call after ``None`` fails."""
+
+    def recorded(task):
+        ended = []
+
+        def generator(y):
+            assert not ended, f"task {task.task_id} asked for trial {y} after trial {ended[0]} ended it"
+            log.append((task.task_id, y))
+            sub = task.generator(y)
+            if sub is None:
+                ended.append(y)
+            return sub
+
+        return SearchTask(task.task_id, generator, task.accept)
+
+    return [recorded(task) for task in tasks]
+
+
+def test_generator_calls_match_reference_at_every_global_budget():
+    def make_tasks():
+        return [
+            looper_task(0, trials=3),
+            looper_task(1, trials=0),
+            writer_task(2, [3, 1, 4, 1, 5], ACCEPTS["never"], trials=6, diverging=frozenset({2})),
+            looper_task(3),
+        ]
+
+    for global_budget in range(1, 70):
+        got, want = [], []
+        dovetail(recording_tasks(make_tasks(), got), 4, global_budget)
+        reference_dovetail(recording_tasks(make_tasks(), want), 4, global_budget)
+        assert got == want, global_budget
+    # By the last budget every finite task has been asked for its ending trial.
+    assert {(0, 3), (1, 0), (2, 6)} <= set(got)
+
+
+def test_memory_stays_flat_as_the_global_budget_grows():
+    tasks = [looper_task(0), looper_task(1), looper_task(2)]
+    dovetail(tasks, 64, 100)  # warm caches before measuring
+    peaks = []
+    for global_budget in (2_000, 8_000):
+        tracemalloc.start()
+        try:
+            assert dovetail(tasks, 64, global_budget) == GlobalBudgetExceeded(global_budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 1.5, peaks
