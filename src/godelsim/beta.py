@@ -12,7 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class EmptyMatchSetError(Exception):
@@ -116,60 +117,101 @@ def beta_encode(seq: Sequence[int]) -> BetaPair:
     return BetaPair(b % modulus, c)
 
 
-def _congruences_for(seq: Sequence[int], c: int) -> Optional[tuple[int, int]]:
-    """Least residue and modulus of all b with beta((b,c), i) = seq[i], or None."""
-    residue, modulus = 0, 1
-    for i, value in enumerate(seq):
-        d = 1 + (i + 1) * c
-        if value >= d:
-            return None
-        g = math.gcd(modulus, d)
-        if (value - residue) % g != 0:
-            return None
-        step = d // g
-        inv = pow((modulus // g) % step, -1, step) if step > 1 else 0
-        residue = residue + modulus * ((((value - residue) // g) * inv) % step)
-        modulus = modulus // g * d
-        residue %= modulus
-    return residue, modulus
+def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (c, least b, step) for each c <= bound that some b <= bound realizes.
+
+    In increasing c.  The realizing b within the bound are exactly
+    ``range(b, bound + 1, step)``: step is the modulus of the merged
+    congruences, or a number past the bound once only b itself is left.
+
+    The sieve is exact because a CRT merge never lowers the least residue
+    (the new one is the old plus a nonnegative multiple of the old
+    modulus), so a c is dropped at the first merge whose residue passes
+    the bound.  The first two congruences merge in closed form, one cheap
+    test per c; only the c that survive it reach gcd and pow.
+    """
+    _check_sequence(seq)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    # No c below this matches: each value must be less than its modulus 1 + (i+1)*c.
+    first = max(1, *(-(-value // (i + 1)) for i, value in enumerate(seq)))
+    v0 = seq[0]
+    if len(seq) == 1:
+        for c in range(first, bound + 1):
+            yield c, v0, c + 1
+        return
+    # b = v0 (mod c+1) and b = v1 (mod 2c+1): the moduli are coprime and
+    # 2(c+1) = 1 (mod 2c+1), so the least b is v0 + (c+1)*(2(v1-v0) mod 2c+1).
+    twice_gap = 2 * (seq[1] - v0)
+    survivors = (
+        (c, b)
+        for c in range(first, bound + 1)
+        if (b := v0 + (c + 1) * (twice_gap % (2 * c + 1))) <= bound
+    )
+    for c, residue in survivors:
+        modulus = (c + 1) * (2 * c + 1)
+        for i in range(2, len(seq)):
+            if modulus > bound:
+                # At most one b <= bound is left: test it directly.
+                if all(residue % (1 + (j + 1) * c) == seq[j] for j in range(i, len(seq))):
+                    yield c, residue, modulus
+                break
+            d = 1 + (i + 1) * c
+            g = math.gcd(modulus, d)
+            if (seq[i] - residue) % g:
+                break
+            step = d // g
+            residue += modulus * (((seq[i] - residue) // g * pow(modulus // g, -1, step)) % step)
+            modulus *= step
+            if residue > bound:
+                break
+        else:
+            yield c, residue, modulus
 
 
 def enumerate_matches(seq: Sequence[int], bound: int) -> list[BetaPair]:
     """All pairs with b <= bound, 1 <= c <= bound whose beta values reproduce ``seq``.
 
-    Exhaustive within the bound; sorted lexicographically by (c, b).
+    Exhaustive within the bound; sorted lexicographically by (c, b).  The
+    cost is one closed-form test per c for the first two values, CRT merges
+    only for the c they leave (each of which has a pair matching those two
+    values), and one ``BetaPair`` per match.
     """
-    _check_sequence(seq)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    pairs: list[BetaPair] = []
-    for c in range(1, bound + 1):
-        solved = _congruences_for(seq, c)
-        if solved is None:
-            continue
-        residue, modulus = solved
-        pairs.extend(BetaPair(b, c) for b in range(residue, bound + 1, modulus))
-    return pairs
+    return [
+        BetaPair(b, c)
+        for c, least, step in _realizations(seq, bound)
+        for b in range(least, bound + 1, step)
+    ]
 
 
 def fit_characteristic_beta(seq: Sequence[int], bound: int) -> Optional[BetaPair]:
-    """Lexicographically least (c, b) match within the bound, if any."""
-    _check_sequence(seq)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    for c in range(1, bound + 1):
-        solved = _congruences_for(seq, c)
-        if solved is not None and solved[0] <= bound:
-            return BetaPair(solved[0], c)
+    """Lexicographically least (c, b) match within the bound, if any.
+
+    Stops at the first c whose least realizing b is within the bound, so it
+    costs at most what ``enumerate_matches`` spends before its first pair.
+    """
+    for c, b, _ in _realizations(seq, bound):
+        return BetaPair(b, c)
     return None
 
 
 def next_value_distribution(seq: Sequence[int], bound: int) -> NextValueDistribution:
-    """Tally what each matching pair predicts at the index after the sequence."""
-    matches = enumerate_matches(seq, bound)
-    if not matches:
+    """Tally what each matching pair predicts at the index after the sequence.
+
+    Counts b mod (1 + (n+1)*c), n = len(seq), straight over each c's
+    progression of realizing b, building no pair objects: the cost is the
+    number of matches plus the sieve of ``enumerate_matches``, and memory
+    is the tally alone.
+    """
+    factor = len(seq) + 1
+    counts = Counter(
+        chain.from_iterable(
+            map((1 + factor * c).__rmod__, range(least, bound + 1, step))
+            for c, least, step in _realizations(seq, bound)
+        )
+    )
+    if not counts:
         raise EmptyMatchSetError(f"no pair within bound {bound} matches {list(seq)}")
-    counts = Counter(beta_eval(pair, len(seq)) for pair in matches)
     return NextValueDistribution(bound, dict(counts), sum(counts.values()))
 
 

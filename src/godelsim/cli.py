@@ -210,6 +210,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_beta(args: argparse.Namespace) -> int:
+    if args.beta_command in ("matches", "predict") and args.bound < 1:
+        raise CliError(f"bound must be >= 1, got {args.bound}")
     records: list[dict] = []
     inputs: dict = {}
     if args.beta_command == "encode":
@@ -224,6 +226,8 @@ def cmd_beta(args: argparse.Namespace) -> int:
             pair = beta.BetaPair(b, c)
         except ValueError as exc:
             raise CliError(f"bad pair {args.pair!r} (use b,c): {exc}") from exc
+        if args.index < 0:
+            raise CliError(f"index must be >= 0, got {args.index}")
         value = beta.beta_eval(pair, args.index)
         records.append({"record": "value", "i": args.index, "value": value})
         inputs = {"pair": [b, c], "index": args.index}
@@ -346,6 +350,8 @@ def _verdict_text(verdict: universe.PredictabilityVerdict) -> str:
 
 
 def cmd_universe(args: argparse.Namespace) -> int:
+    if args.window is not None and args.window < 1:
+        raise CliError(f"window must be >= 1, got {args.window}")
     with ExitStack() as stack:
         config_path = _resolve_config(args.config, stack)
         try:
@@ -418,6 +424,8 @@ def cmd_collapse(args: argparse.Namespace) -> int:
         hm = collapse.make_horizon_machine(args.pred, args.k)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if args.measure is not None and args.measure < 0:
+        raise CliError(f"measure must be >= 0, got {args.measure}")
     measured = collapse.measure(hm, args.measure) if args.measure is not None else hm
     records: list[dict] = []
     for n in _parse_range(args.eval):

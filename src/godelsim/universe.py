@@ -121,9 +121,15 @@ class AffineRule:
     start: int
 
     def value_at(self, t: int) -> int:
+        """m(t) in O(log t): the map x -> a*x + b is composed with itself by squaring."""
         value = self.start % self.modulus
-        for _ in range(t):
-            value = (self.a * value + self.b) % self.modulus
+        # (scale, shift) is the map applied 2^k times, for k = 0, 1, 2, ...
+        scale, shift = self.a, self.b
+        while t > 0:
+            if t & 1:
+                value = (scale * value + shift) % self.modulus
+            scale, shift = scale * scale % self.modulus, (scale * shift + shift) % self.modulus
+            t >>= 1
         return value
 
 

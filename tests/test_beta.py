@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,3 +209,103 @@ def test_fit_agrees_with_brute_force_at_larger_bounds():
             assert fitted == BetaPair(least_b, least_c)
         else:
             assert fitted is None
+
+
+# --- the congruence sieve behind matches, fit and predict --------------------
+
+
+def check_against_brute_force(seq, bound):
+    """All three queries agree with the raw (b, c) grid of ``brute_matches``."""
+    brute = brute_matches(seq, bound)
+    assert [(p.b, p.c) for p in enumerate_matches(seq, bound)] == brute
+    fitted = fit_characteristic_beta(seq, bound)
+    if not brute:
+        assert fitted is None
+        with pytest.raises(EmptyMatchSetError):
+            next_value_distribution(seq, bound)
+        return
+    least_b, least_c = min(brute, key=lambda bc: (bc[1], bc[0]))
+    assert fitted == BetaPair(least_b, least_c)
+    dist = next_value_distribution(seq, bound)
+    tally = Counter(b % (1 + (len(seq) + 1) * c) for b, c in brute)
+    assert dist.counts == dict(tally)
+    assert dist.total == len(brute)
+    assert dist.bound == bound
+
+
+def test_sieve_agrees_with_brute_force_on_random_sequences():
+    rng = random.Random(59)
+    for _ in range(60):
+        seq = [rng.randint(0, 15) for _ in range(rng.randint(1, 6))]
+        check_against_brute_force(seq, rng.randint(1, 300))
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 5, 8])
+def test_sieve_at_values_one_below_their_moduli(c):
+    # seq[i] = (i+1)*c is the largest value modulus 1 + (i+1)*c allows, so
+    # c is the least candidate; one less than that c can never match.
+    for length in (1, 2, 3):
+        seq = [(i + 1) * c for i in range(length)]
+        for bound in (c, 2 * c, 60, 250):
+            check_against_brute_force(seq, bound)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5])
+def test_sieve_on_constant_sequences(length):
+    for value in (0, 1, 4, 11):
+        for bound in (1, 12, 97, 200):
+            check_against_brute_force([value] * length, bound)
+
+
+@pytest.mark.parametrize("seq, bound", [([5], 2), ([0, 0, 1], 10), ([1, 0, 0], 20), ([0, 3, 2], 20), ([9, 9], 8)])
+def test_sieve_without_any_match(seq, bound):
+    assert brute_matches(seq, bound) == []
+    check_against_brute_force(seq, bound)
+
+
+def test_match_whose_b_equals_the_bound_is_kept():
+    # (b, c) always matches its own values at bound b.  Where b is below the
+    # lcm of its moduli it is the least realizing residue for c, so the last
+    # CRT merge lands exactly on the bound.
+    for c in (1, 2, 3):
+        for b in range(c, 200):
+            seq = [b % (1 + (i + 1) * c) for i in range(4)]
+            assert BetaPair(b, c) in enumerate_matches(seq, b)
+            assert fit_characteristic_beta(seq, b) is not None
+            assert next_value_distribution(seq, b).total >= 1
+
+
+@pytest.mark.parametrize("query", [enumerate_matches, fit_characteristic_beta, next_value_distribution])
+def test_sieve_validation_errors_are_unchanged(query):
+    cases = [
+        ([], 5, "sequence must be non-empty"),
+        ([], 0, "sequence must be non-empty"),
+        ([1, -1], 5, "sequence values must be naturals"),
+        ([-1], 0, "sequence values must be naturals"),
+        ([0], 0, "bound must be >= 1"),
+        ([3, 1], -4, "bound must be >= 1"),
+    ]
+    for seq, bound, message in cases:
+        with pytest.raises(ValueError, match=message):
+            query(seq, bound)
+
+
+@pytest.mark.parametrize("value", [0, 2, 7, 150])
+def test_single_value_prediction_total_at_bench_scale(value):
+    # Pairs realizing [v] are b = v + k(c+1) for every c >= max(1, v).
+    bound = 10_009
+    expected = sum((bound - value) // (c + 1) + 1 for c in range(max(1, value), bound + 1))
+    assert next_value_distribution([value], bound).total == expected
+
+
+def test_prediction_memory_at_bench_scale():
+    # Tallying straight over each c's progression keeps no pair objects:
+    # under 1 MB here, against 12 MB when every BetaPair is built first.
+    tracemalloc.start()
+    try:
+        dist = next_value_distribution([2], 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.total == 88_633
+    assert peak < 4_000_000

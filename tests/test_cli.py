@@ -250,3 +250,20 @@ def test_dovetail_nonpositive_budget_is_a_clean_error(flag, value):
     code, out, err = invoke("dovetail", corpus_path("halt0.tm") + "=zero-of", flag, value)
     assert_one_line_error(code, out, err)
     assert flag.lstrip("-") in err.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("beta", "matches", "0", "--bound", "0"), "bound"),
+        (("beta", "predict", "0,1", "--bound", "-2"), "bound"),
+        (("beta", "eval", "7,1", "-1"), "index"),
+        (("collapse", "demo", "--k", "2", "--measure", "-1"), "measure"),
+        (("universe", "sim", "--config", "uniform_pair", "--window", "0"), "window"),
+    ],
+    ids=["matches-bound", "predict-bound", "eval-index", "collapse-measure", "universe-window"],
+)
+def test_out_of_range_naturals_are_clean_errors(argv, name):
+    code, out, err = invoke(*argv)
+    assert_one_line_error(code, out, err)
+    assert name in err.splitlines()[0]

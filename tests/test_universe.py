@@ -244,6 +244,23 @@ def test_table_rule_cycles_and_affine_rule_iterates():
     assert [affine.value_at(t) for t in range(4)] == [1, 3, 2, 0]
 
 
+def test_affine_rule_agrees_with_iteration_from_start():
+    rng = random.Random(61)
+    rules = [AffineRule(a, b, 1, 7) for a in (0, 1, 5) for b in (0, 3)]
+    rules += [AffineRule(a, rng.randint(-40, 40), rng.choice([2, 9, 97, -13]), rng.randint(-50, 50)) for a in (0, 1, -1)]
+    for _ in range(30):
+        modulus = rng.choice([rng.randint(2, 50), rng.randint(51, 10**9), -rng.randint(1, 50)])
+        rules.append(AffineRule(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), modulus, rng.randint(-10**6, 10**6)))
+    for rule in rules:
+        value = rule.start % rule.modulus
+        for t in range(3001):
+            assert rule.value_at(t) == value, (rule, t)
+            value = (rule.a * value + rule.b) % rule.modulus
+        assert rule.value_at(-2) == rule.start % rule.modulus
+    with pytest.raises(ZeroDivisionError):
+        AffineRule(2, 1, 0, 3).value_at(5)
+
+
 def test_parse_provider_specs():
     assert parse_provider_spec("uniform:constant,value=5") == UniformProvider(ConstantRule(5))
     assert parse_provider_spec("uniform:counter,start=2,step=3") == UniformProvider(CounterRule(2, 3))
