@@ -350,6 +350,8 @@ def _verdict_text(verdict: universe.PredictabilityVerdict) -> str:
 
 
 def cmd_universe(args: argparse.Namespace) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise CliError(f"steps must be >= 0, got {args.steps}")
     if args.window is not None and args.window < 1:
         raise CliError(f"window must be >= 1, got {args.window}")
     with ExitStack() as stack:
@@ -556,12 +558,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.format not in FORMATS:
         print(f"error: bad format {args.format!r}", file=sys.stderr)
         return EXIT_ERROR
+    # Exact integers such as the c of a long beta encoding exceed Python's default
+    # limit on int <-> str conversion; lift it for this command only.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _manifest(args, {}, f"error: {exc}")
         return EXIT_ERROR
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

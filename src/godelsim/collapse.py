@@ -15,11 +15,10 @@ from importlib import resources
 from typing import Callable, Union
 
 from .machine import (
-    Halted,
+    BudgetExceeded,
     LoopDetected,
     blank_id,
-    count_symbols,
-    run_with_loop_detection,
+    run_for_ones,
     two_state_looper,
     unary_writer,
 )
@@ -97,12 +96,10 @@ def evaluate(hm: HorizonMachine, n: int) -> int | LoopDetected:
     else:
         machine = two_state_looper()
         budget = _LOOP_SLACK
-    outcome = run_with_loop_detection(machine, blank_id(machine), budget)
-    if isinstance(outcome, Halted):
-        return count_symbols(outcome.final_id)
-    if isinstance(outcome, LoopDetected):
-        return outcome
-    raise AssertionError(f"horizon run neither halted nor looped: {outcome!r}")
+    result = run_for_ones(machine, blank_id(machine), budget)
+    if isinstance(result, BudgetExceeded):
+        raise AssertionError(f"horizon run neither halted nor looped: {result!r}")
+    return result
 
 
 def measure(hm: HorizonMachine, n: int) -> HorizonMachine:

@@ -25,7 +25,7 @@ from .machine import (
     Runner,
     blank_id,
     count_symbols,
-    run_with_loop_detection,
+    run_for_ones,
     two_state_looper,
     unary_writer,
 )
@@ -271,10 +271,7 @@ class MachineBackedFunction:
         else:
             budget = self.fn(*args) + self.slack
         sub = self.subrun(*args)
-        outcome = run_with_loop_detection(sub.machine, sub.input, budget)
-        if isinstance(outcome, Halted):
-            return count_symbols(outcome.final_id)
-        return outcome
+        return run_for_ones(sub.machine, sub.input, budget)
 
 
 def unary_output(outcome: Halted) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -53,6 +53,8 @@ class Machine:
     alphabet: frozenset[str]
     transitions: Mapping[tuple[str, str], tuple[str, str, Move]]
     start_state: str
+    # Fingerprint code of each symbol (see ``Runner``), compiled once per machine.
+    codes: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if BLANK not in self.alphabet:
@@ -66,6 +68,7 @@ class Machine:
                 raise ValueError(f"transition ({state!r}, {sym!r}) uses unknown symbol")
             if not isinstance(move, Move):
                 raise ValueError("move must be a Move")
+        object.__setattr__(self, "codes", _symbol_codes(self.alphabet))
 
     @classmethod
     def from_rules(
@@ -94,12 +97,97 @@ class Machine:
         return cls(frozenset(states), frozenset(alphabet), transitions, start_state)
 
 
+def _plain_cells(n: int, symbol: str, writes: dict[int, str]) -> dict[int, str]:
+    """The non-blank cells of ``symbol`` on 0..n-1 overlaid by ``writes``, as a plain dict.
+
+    Built with C-level dict operations; the result is ``writes`` itself
+    when there is no base run and no blank among the writes, so callers
+    must not mutate it.
+    """
+    if n:
+        cells = dict.fromkeys(range(n), symbol)
+        cells.update(writes)
+    else:
+        cells = writes
+    if BLANK in writes.values():
+        if cells is writes:
+            cells = dict(writes)
+        for cell in [cell for cell, sym in writes.items() if sym == BLANK]:
+            del cells[cell]
+    return cells
+
+
+class Tape(Mapping[int, str]):
+    """An immutable tape: ``symbol`` on cells 0..n-1, overlaid by ``writes``.
+
+    ``writes`` overrides the base run cell by cell; a blank in it erases a
+    base cell (and is a no-op elsewhere).  As a mapping the tape
+    holds exactly its non-blank cells, like the plain dict tape of an
+    ``ID``, so the two compare equal when their cells are equal.  Reading
+    one cell or counting a symbol costs O(1) or O(writes); iterating
+    builds the plain dict once, with C-level dict operations, and keeps it.
+    The tape takes ownership of ``writes``: nobody may mutate it afterwards.
+    """
+
+    __slots__ = ("n", "symbol", "writes", "_cells")
+
+    def __init__(self, n: int, symbol: str, writes: dict[int, str]):
+        self.n = 0 if symbol == BLANK else n
+        self.symbol = symbol
+        self.writes = writes
+        self._cells: Optional[dict[int, str]] = None
+
+    def cells(self) -> dict[int, str]:
+        """The non-blank cells as a plain dict (read-only)."""
+        if self._cells is None:
+            self._cells = _plain_cells(self.n, self.symbol, self.writes)
+        return self._cells
+
+    def __getitem__(self, cell: int) -> str:
+        sym = self.writes.get(cell)
+        if sym is None:
+            if isinstance(cell, int) and 0 <= cell < self.n:
+                return self.symbol
+            raise KeyError(cell)
+        if sym == BLANK:
+            raise KeyError(cell)
+        return sym
+
+    def __iter__(self):
+        return iter(self.cells())
+
+    def __len__(self) -> int:
+        return len(self.cells())
+
+    def items(self):
+        return self.cells().items()
+
+    def values(self):
+        return self.cells().values()
+
+    def __repr__(self) -> str:
+        """The cells as a dict literal, in cell order whatever the order of the writes."""
+        return repr(dict(sorted(self.cells().items())))
+
+    def count(self, symbol: str) -> int:
+        """Number of cells holding ``symbol``, in O(writes); a blank cell is not held."""
+        if symbol == BLANK:
+            return 0
+        n, in_base = self.n, self.symbol == symbol
+        total = n if in_base else 0
+        for cell, sym in self.writes.items():
+            total += (sym == symbol) - (in_base and 0 <= cell < n)
+        return total
+
+
 @dataclass(frozen=True)
 class ID:
     """An instantaneous description: state, head position, finite-support tape.
 
-    Cells absent from ``tape`` hold the blank symbol; explicit blanks are
-    stripped on construction so equal configurations compare equal.
+    Cells absent from ``tape`` hold the blank symbol.  A plain mapping is
+    copied on construction with its explicit blanks stripped, so equal
+    configurations compare equal; a ``Tape`` is immutable and never shows
+    a blank cell, so it is kept as it is.
     """
 
     state: str
@@ -107,8 +195,9 @@ class ID:
     tape: Mapping[int, str]
 
     def __post_init__(self) -> None:
-        clean = {cell: sym for cell, sym in self.tape.items() if sym != BLANK}
-        object.__setattr__(self, "tape", clean)
+        if type(self.tape) is not Tape:
+            clean = {cell: sym for cell, sym in self.tape.items() if sym != BLANK}
+            object.__setattr__(self, "tape", clean)
 
     def symbol_at(self, cell: int) -> str:
         return self.tape.get(cell, BLANK)
@@ -120,10 +209,14 @@ def blank_id(machine: Machine) -> ID:
 
 
 def unary_id(machine: Machine, n: int, symbol: str = "1") -> ID:
-    """Starting configuration with ``n`` copies of ``symbol`` at cells 0..n-1."""
+    """Starting configuration with ``n`` copies of ``symbol`` at cells 0..n-1.
+
+    O(1) whatever ``n``: the tape is a read-only ``Tape`` over range(n),
+    which a ``Runner`` reads in place instead of copying.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return ID(machine.start_state, 0, {cell: symbol for cell in range(n)})
+    return ID(machine.start_state, 0, Tape(n, symbol, {}))
 
 
 @dataclass(frozen=True)
@@ -195,70 +288,126 @@ _FINGERPRINT_BASE = 1_000_003
 
 
 @functools.lru_cache(maxsize=None)
-def _fingerprint_factors(mod: int) -> tuple[int, int]:
-    """(r, r**-1) mod ``mod``: the fingerprint's factors for a move left and right."""
+def _fingerprint_factors(mod: int) -> tuple[int, int, Optional[int]]:
+    """(r, r**-1, (r - 1)**-1) mod a prime ``mod``; the last is None when r = 1.
+
+    r and r**-1 are the fingerprint's factors for a move left and right;
+    (r - 1)**-1 sums a run of equal cells in closed form.
+    """
     base = _FINGERPRINT_BASE % mod
-    return base, pow(base, -1, mod)
+    return base, pow(base, -1, mod), None if base == 1 else pow(base - 1, -1, mod)
 
 
-def _tape_fingerprint(
-    tape: Mapping[int, str], head: int, codes: Mapping[str, int], base: int, mod: int
+def _symbol_codes(symbols: Iterable[str]) -> dict[str, int]:
+    """Blank = 0, the other symbols 1, 2, ... in sorted order."""
+    ordered = sorted(set(symbols) - {BLANK})
+    return {BLANK: 0, **{sym: code for code, sym in enumerate(ordered, 1)}}
+
+
+def _start_fingerprint(
+    n: int, symbol: str, writes: Mapping[int, str], head: int, codes: Mapping[str, int], mod: int
 ) -> int:
-    """sum(codes[sym] * base**(cell - head)) mod ``mod``, by Horner's rule from the rightmost cell."""
-    fp, above = 0, None
-    for cell in sorted(tape, reverse=True):
+    """sum(codes[sym] * r**(cell - head)) mod ``mod`` over the tape ``Tape(n, symbol, writes)``.
+
+    The base run comes in closed form, codes[symbol] * (r**n - 1) / (r - 1)
+    (Karp & Rabin 1987), and the writes by Horner's rule from the rightmost,
+    each as its change to the base cell under it.
+    """
+    if not n and not writes:
+        return 0
+    r, _, sum_inverse = _fingerprint_factors(mod)
+    base_code = codes[symbol] if n else 0
+    fp = 0
+    if base_code:
+        run_sum = n if sum_inverse is None else (pow(r, n, mod) - 1) * sum_inverse
+        fp = base_code * run_sum % mod
+    acc, above = 0, None
+    for cell in sorted(writes, reverse=True):
         if above is not None:
-            fp = fp * (base if above - cell == 1 else pow(base, above - cell, mod)) % mod
-        fp += codes[tape[cell]]
+            acc = acc * (r if above - cell == 1 else pow(r, above - cell, mod)) % mod
+        acc += codes[writes[cell]] - (base_code if 0 <= cell < n else 0)
         above = cell
-    return fp if above is None else fp * pow(base, above - head, mod) % mod
+    if above is not None:
+        fp += acc * pow(r, above, mod)
+    return fp * pow(r, -head, mod) % mod
 
 
 class Runner:
     """One run of ``machine`` from ``start``, advanced in place one step at a time.
 
-    The tape is a dict mutated in place, so a step costs O(1); an
-    immutable ``ID`` is built only on request (``snapshot``, ``Halted``).
+    A run costs what it steps, not what its start tape holds.  A ``Tape``
+    start (as ``unary_id`` gives, or a ``Halted.final_id``) is read in place
+    as a read-only base run; the run keeps the cells it writes, and the
+    base cells it has read, in a dict of its own, where a blank written
+    stays as a blank.  Any other start mapping is copied into that dict.
+    A read that misses the dict falls back to the base run, which is
+    dropped once every base cell is in the dict; a run with no base pays
+    one ``is None`` test per step for this.  So set-up
+    costs O(writes of the start), a step O(1), and an immutable ``ID`` is
+    built only on request: ``snapshot`` copies the dict, and ``Halted``
+    wraps it without a copy, as no step changes a halted run.
 
     With ``detect_loops`` each visited configuration is keyed by its state
     and the fingerprint sum(code(sym) * r**(cell - head)) mod p, with symbol
-    codes taken from the sorted alphabet (blank = 0).  Being relative to the
-    head, the fingerprint follows a write or a one-cell move in O(1), and
-    translates share a key, as they share a form under ``canonicalize``.
-    A key hit is only a candidate: the earlier configuration is rebuilt by
-    replaying from ``start`` and compared exactly after ``canonicalize``, so
-    a collision costs time but never changes a verdict.
+    codes taken from the sorted alphabet (blank = 0), compiled once per
+    machine; a start tape holding a foreign symbol gets a table of its own.
+    The start's fingerprint sums the base run in closed form.  Being
+    relative to the head, the fingerprint follows a write or a one-cell
+    move in O(1), and translates share a key, as they share a form under
+    ``canonicalize``.  A key hit is only a candidate: the earlier
+    configuration is rebuilt by replaying from ``start`` and compared
+    exactly after ``canonicalize``, so a collision costs time but never
+    changes a verdict.
     """
 
     __slots__ = (
-        "machine", "start", "state", "head", "tape", "steps",
-        "seen", "exact", "codes", "fp", "mod", "left", "right",
+        "machine", "transitions", "start", "state", "head", "tape",
+        "base_len", "base_symbol", "unread", "miss",
+        "steps", "seen", "exact", "codes", "fp", "mod", "left", "right",
     )
 
     def __init__(self, machine: Machine, start: ID, detect_loops: bool = True):
         self.machine = machine
+        self.transitions = machine.transitions
         self.start = start
         self.state = start.state
         self.head = start.head
-        self.tape = dict(start.tape)
+        if type(start.tape) is Tape:
+            n, self.base_symbol = start.tape.n, start.tape.symbol
+            self.tape = dict(start.tape.writes)
+        else:
+            n, self.base_symbol = 0, BLANK
+            self.tape = dict(start.tape)
+        # Base cells not in the dict yet: once none is left, the run drops its base.
+        self.unread = n - sum(1 for cell in self.tape if 0 <= cell < n) if n and self.tape else n
+        self.base_len = n if self.unread else 0
+        # What a read that misses the dict gives: None sends it on to the base run.
+        self.miss = None if self.unread else BLANK
         self.steps = 0
         self.seen: Optional[dict[str, dict[int, int]]] = None
         if not detect_loops:
             return
-        # Foreign symbols of the start tape get codes too; reading one still raises.
-        symbols = sorted((machine.alphabet | set(self.tape.values())) - {BLANK})
-        self.codes = {BLANK: 0, **{sym: code for code, sym in enumerate(symbols, 1)}}
+        codes = machine.codes
+        symbols = set(self.tape.values())
+        if self.base_len:
+            symbols.add(self.base_symbol)
+        if not machine.alphabet.issuperset(symbols):
+            # Foreign symbols of the start tape get codes too; reading one still raises.
+            codes = _symbol_codes(machine.alphabet | symbols)
+        self.codes = codes
         self.mod = mod = _FINGERPRINT_MODULUS
         # A move to the left raises every exponent cell - head by one, a move right lowers it.
-        self.left, self.right = _fingerprint_factors(mod)
-        self.fp = _tape_fingerprint(self.tape, self.head, self.codes, self.left, mod)
+        self.left, self.right, _ = _fingerprint_factors(mod)
+        self.fp = _start_fingerprint(
+            self.base_len, self.base_symbol, self.tape, self.head, codes, mod
+        )
         self.seen = {self.state: {self.fp: 0}}
         # (state, fingerprint) -> {canonical key of a configuration: step}, for hit keys.
         self.exact: dict[tuple[str, int], dict[tuple, int]] = {}
 
     def snapshot(self) -> ID:
-        """The current configuration as an immutable ``ID``."""
-        return ID(self.state, self.head, self.tape)
+        """The current configuration as an immutable ``ID`` (the writes are copied)."""
+        return ID(self.state, self.head, Tape(self.base_len, self.base_symbol, dict(self.tape)))
 
     def advance(self) -> Optional[Halted | LoopDetected]:
         """Take one step.
@@ -268,16 +417,23 @@ class Runner:
         up to translation, and ``None`` otherwise.
         """
         tape, head = self.tape, self.head
-        old = tape.get(head, BLANK)
-        rule = self.machine.transitions.get((self.state, old))
+        old = tape.get(head, self.miss)
+        if old is None:
+            if 0 <= head < self.base_len:
+                # First read of a base cell: kept, so that the next read hits.
+                old = tape[head] = self.base_symbol
+                self.unread -= 1
+                if not self.unread:
+                    # Every base cell is in the dict now: the run drops its base.
+                    self.base_len, self.miss = 0, BLANK
+            else:
+                old = BLANK
+        rule = self.transitions.get((self.state, old))
         if rule is None:
             return self._halt(old)
         state, new, move = rule
         if new != old:
-            if new == BLANK:
-                del tape[head]
-            else:
-                tape[head] = new
+            tape[head] = new
         self.state = state
         self.steps += 1
         right = move is _RIGHT
@@ -297,8 +453,10 @@ class Runner:
 
     def halted(self) -> Optional[Halted]:
         """``Halted`` if no rule applies to the current configuration, else ``None``."""
-        sym = self.tape.get(self.head, BLANK)
-        if (self.state, sym) in self.machine.transitions:
+        sym = self.tape.get(self.head, self.miss)
+        if sym is None:
+            sym = self.base_symbol if 0 <= self.head < self.base_len else BLANK
+        if (self.state, sym) in self.transitions:
             return None
         return self._halt(sym)
 
@@ -321,23 +479,25 @@ class Runner:
         return self.halted() or BudgetExceeded(budget)
 
     def _halt(self, sym: str) -> Halted:
+        """The run's ``Halted``; its ``final_id`` wraps the writes, which no step changes again."""
         if self.state not in self.machine.states:
             raise MalformedIDError(f"state {self.state!r} not in machine states")
         if sym not in self.machine.alphabet:
             raise MalformedIDError(f"symbol {sym!r} not in machine alphabet")
-        return Halted(self.steps, self.snapshot())
+        tape = Tape(self.base_len, self.base_symbol, self.tape)
+        return Halted(self.steps, ID(self.state, self.head, tape))
 
     def _canonical_key(self) -> tuple:
         """The current configuration up to translation, as a hashable tuple.
 
         It is the form ``canonicalize`` gives (the leftmost written cell, or
-        the head on a blank tape, moved to 0), and the tape never holds a
-        blank, so two keys are equal exactly when the ``encode_id`` of the
-        canonical configurations are; no ``ID`` is built.
+        the head on a blank tape, moved to 0) over the non-blank cells, so
+        two keys are equal exactly when the ``encode_id`` of the canonical
+        configurations are; no ``ID`` is built.
         """
-        tape = self.tape
-        shift = min(tape) if tape else self.head
-        cells = tuple(sorted((cell - shift, sym) for cell, sym in tape.items()))
+        cells = _plain_cells(self.base_len, self.base_symbol, self.tape)
+        shift = min(cells) if cells else self.head
+        cells = tuple(sorted((cell - shift, sym) for cell, sym in cells.items()))
         return self.state, self.head - shift, cells
 
     def _confirm(self, key: tuple[str, int], first: int) -> Optional[LoopDetected]:
@@ -382,26 +542,49 @@ def naive_run(machine: Machine, start: ID, budget: int) -> Halted | BudgetExceed
 
 
 def count_symbols(desc: ID, symbol: str = "1") -> int:
-    """Number of tape cells holding ``symbol``."""
+    """Number of tape cells holding ``symbol``: O(writes) on a ``Tape``."""
+    if type(desc.tape) is Tape:
+        return desc.tape.count(symbol)
     return sum(1 for sym in desc.tape.values() if sym == symbol)
 
 
+def run_for_ones(machine: Machine, start: ID, budget: int) -> int | LoopDetected | BudgetExceeded:
+    """Run under loop detection: the ones left on a halted tape, else the non-halting outcome."""
+    outcome = run_with_loop_detection(machine, start, budget)
+    if isinstance(outcome, Halted):
+        return count_symbols(outcome.final_id)
+    return outcome
+
+
+_UNARY_ALPHABET = frozenset((BLANK, "1"))
+
+
 def unary_writer(value: int) -> Machine:
-    """A machine that writes ``value`` ones rightward from a blank tape, then halts."""
+    """A machine that writes ``value`` ones rightward from a blank tape, then halts.
+
+    Built straight from its states w0..w<value>, with one validation pass.
+    """
     if value < 0:
         raise ValueError("value must be >= 0")
-    rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
-    return Machine.from_rules(rules, "w0", extra_states=(f"w{value}",))
+    states = [f"w{j}" for j in range(value + 1)]
+    transitions = {(state, BLANK): (after, "1", _RIGHT) for state, after in zip(states, states[1:])}
+    alphabet = _UNARY_ALPHABET if value else frozenset((BLANK,))
+    return Machine(frozenset(states), alphabet, transitions, "w0")
+
+
+_TWO_STATE_LOOPER = Machine.from_rules(
+    [("p0", BLANK, "p1", BLANK, "R"), ("p1", BLANK, "p0", BLANK, "L")], "p0"
+)
 
 
 def two_state_looper() -> Machine:
     """A machine that ping-pongs between two states forever without writing.
 
     Its canonical configuration repeats at step 2 with period 2, so
-    loop-detecting execution self-terminates almost immediately.
+    loop-detecting execution self-terminates almost immediately.  Every
+    call returns the same (immutable) instance.
     """
-    rules = [("p0", BLANK, "p1", BLANK, "R"), ("p1", BLANK, "p0", BLANK, "L")]
-    return Machine.from_rules(rules, "p0")
+    return _TWO_STATE_LOOPER
 
 
 _HEADER_RE = re.compile(r"^(states|alphabet|start)\s*:\s*(.*)$")

@@ -22,11 +22,10 @@ from .beta import BetaPair, fit_characteristic_beta
 from .collapse import HorizonMachine
 from .machine import (
     BudgetExceeded,
-    Halted,
     Machine,
-    count_symbols,
+    MachineParseError,
     load_machine_file,
-    run_with_loop_detection,
+    run_for_ones,
     unary_id,
 )
 
@@ -153,10 +152,10 @@ class MachineRule:
     budget: int = 10_000
 
     def value_at(self, t: int) -> int:
-        outcome = run_with_loop_detection(self.machine, unary_id(self.machine, t), self.budget)
-        if isinstance(outcome, Halted):
-            return count_symbols(outcome.final_id)
-        kind = "looped" if not isinstance(outcome, BudgetExceeded) else "ran out of budget"
+        result = run_for_ones(self.machine, unary_id(self.machine, t), self.budget)
+        if isinstance(result, int):
+            return result
+        kind = "looped" if not isinstance(result, BudgetExceeded) else "ran out of budget"
         raise ProviderError(f"machine rule {kind} at t={t}; uniform rules must terminate")
 
 
@@ -475,7 +474,10 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
         if not parts:
             raise ConfigError(f"horizon spec needs a predicate: {spec!r}")
         params = _parse_params(parts[1:], spec)
-        k0 = int(params.pop("k0", "1"))
+        try:
+            k0 = int(params.pop("k0", "1"))
+        except ValueError as exc:
+            raise ConfigError(f"bad k0 in {spec!r}: {exc}") from exc
         if params:
             raise ConfigError(f"unknown horizon parameters {sorted(params)} in {spec!r}")
         try:
@@ -499,6 +501,8 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
                 int(params.pop("mod")),
                 int(params.pop("start")),
             )
+            if rule.modulus < 1:
+                raise ConfigError(f"affine rule needs mod >= 1 in {spec!r}")
         elif rule_name == "table":
             rule = TableRule(tuple(int(v) for v in params.pop("values").split("|")))
         elif rule_name == "machine":
@@ -510,6 +514,10 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
             raise ConfigError(f"unknown uniform rule {rule_name!r} in {spec!r}")
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc.args[0]!r} in {spec!r}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad number in {spec!r}: {exc}") from exc
+    except (OSError, MachineParseError) as exc:
+        raise ConfigError(f"machine file in {spec!r}: {exc}") from exc
     if params:
         raise ConfigError(f"unknown parameters {sorted(params)} in {spec!r}")
     return UniformProvider(rule)

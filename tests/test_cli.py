@@ -2,12 +2,13 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
 
-from godelsim import cli
+from godelsim import beta, cli
 
 
 def invoke(*argv):
@@ -260,10 +261,56 @@ def test_dovetail_nonpositive_budget_is_a_clean_error(flag, value):
         (("beta", "eval", "7,1", "-1"), "index"),
         (("collapse", "demo", "--k", "2", "--measure", "-1"), "measure"),
         (("universe", "sim", "--config", "uniform_pair", "--window", "0"), "window"),
+        (("universe", "sim", "--config", "uniform_pair", "--steps", "-1"), "steps"),
     ],
-    ids=["matches-bound", "predict-bound", "eval-index", "collapse-measure", "universe-window"],
+    ids=[
+        "matches-bound", "predict-bound", "eval-index", "collapse-measure",
+        "universe-window", "universe-steps",
+    ],
 )
 def test_out_of_range_naturals_are_clean_errors(argv, name):
     code, out, err = invoke(*argv)
     assert_one_line_error(code, out, err)
     assert name in err.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "uniform:affine,a=x",
+        "uniform:affine,a=1,b=0,mod=0,start=0",
+        "uniform:table,values=",
+        "horizon:parity,k0=x",
+        "uniform:machine,file=missing.tm",
+    ],
+    ids=[
+        "affine-not-a-number", "affine-mod-zero", "table-empty-value",
+        "horizon-k0", "machine-missing-file",
+    ],
+)
+def test_bad_provider_spec_is_a_clean_error(tmp_path, spec):
+    config = tmp_path / "bad.json"
+    config.write_text(
+        json.dumps({"properties": ["p"], "particles": [{"id": 1, "providers": {"p": spec}}]}),
+        encoding="utf-8",
+    )
+    code, out, err = invoke("universe", "sim", "--config", str(config))
+    assert_one_line_error(code, out, err)
+    assert repr(spec) in err.splitlines()[0]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_beta_encode_past_the_int_digit_limit():
+    # c = 1559! has more digits than Python converts to text by default.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke("beta", "encode", "1559")
+    assert code == 0 and "Traceback" not in err
+    assert sys.get_int_max_str_digits() == limit
+    pair = beta.beta_encode([1559])
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(pair.c)) > limit
+        record = {"record": "pair", "b": pair.b, "c": pair.c}
+        assert out == json.dumps(record, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +19,10 @@ from godelsim.machine import (
     MalformedIDError,
     Move,
     Runner,
+    Tape,
     blank_id,
     canonicalize,
+    count_symbols,
     encode_id,
     load_machine_file,
     naive_run,
@@ -27,8 +30,10 @@ from godelsim.machine import (
     run_with_loop_detection,
     step,
     two_state_looper,
+    unary_id,
     unary_writer,
 )
+from godelsim.dovetail import SearchTask, SubRun, dovetail, unary_output
 
 from helpers import canonical_tuple, naive_outcome, random_id, random_machine
 
@@ -331,3 +336,148 @@ def test_peak_memory_grows_linearly_with_the_budget():
 
     # Linear growth gives a ratio near 2; a copy of the tape per step gives about 4.
     assert peak(2000) < 3 * peak(1000)
+
+
+# --- unary base tapes against the same tape as a plain dict ---------------------
+
+
+def plain_copy(desc):
+    """The same configuration with its tape as a plain dict."""
+    return ID(desc.state, desc.head, dict(desc.tape.items()))
+
+
+def run_or_error(run, machine, start, budget):
+    try:
+        return run(machine, start, budget)
+    except MalformedIDError as exc:
+        return str(exc)
+
+
+def assert_same_run(run, machine, start, budget):
+    """``start`` (a ``Tape``) and its plain copy give the same outcome and final tape."""
+    outcome = run_or_error(run, machine, start, budget)
+    plain_outcome = run_or_error(run, machine, plain_copy(start), budget)
+    assert outcome == plain_outcome
+    if isinstance(outcome, Halted):
+        final, plain_final = outcome.final_id, plain_outcome.final_id
+        assert sorted(final.tape.items()) == sorted(plain_final.tape.items())
+        assert repr(final) == repr(plain_final)
+        for symbol in ("0", "1", "x", BLANK):
+            assert count_symbols(final, symbol) == count_symbols(plain_final, symbol)
+            cells = list(final.tape.values())
+            assert count_symbols(final, symbol) == cells.count(symbol)
+    return outcome
+
+
+def unary_runs(seed, machines=300):
+    """(machine, start, budget) from unary starts of 0-40 cells.
+
+    Some starts have a foreign base symbol, some a head moved off cell 0.
+    """
+    rng = random.Random(seed)
+    runs = []
+    for _ in range(machines):
+        machine = random_machine(rng)
+        start = unary_id(machine, rng.randint(0, 40), rng.choice(("1", "1", "0", "x")))
+        if rng.random() < 0.3:
+            start = replace(start, head=rng.randint(-3, 43))
+        runs.append((machine, start, rng.randint(0, 80)))
+    return runs
+
+
+def check_unary_runs(seed):
+    kinds = set()
+    for machine, start, budget in unary_runs(seed):
+        outcome = assert_same_run(run_with_loop_detection, machine, start, budget)
+        kinds.add(type(outcome))
+        assert_same_run(naive_run, machine, start, budget)
+        if isinstance(outcome, Halted):
+            # The final tape, with its writes over the base run, starts a second run.
+            second = random_machine(random.Random(budget))
+            assert type(outcome.final_id.tape) is Tape
+            kinds.add(type(assert_same_run(run_with_loop_detection, second, outcome.final_id, 60)))
+            assert_same_run(naive_run, second, outcome.final_id, 60)
+    assert {Halted, LoopDetected, BudgetExceeded, str} <= kinds
+
+
+def test_unary_base_tape_runs_match_plain_dict_tapes():
+    check_unary_runs(113)
+
+
+def test_unary_base_tape_runs_match_plain_dict_tapes_under_forced_collisions(monkeypatch):
+    monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", 3)
+    check_unary_runs(127)
+
+
+def test_naive_run_from_unary_tapes_matches_plain_stepping():
+    for machine, start, budget in unary_runs(131):
+        try:
+            expected = naive_as_outcome(machine, start, budget)
+        except MalformedIDError:
+            with pytest.raises(MalformedIDError):
+                naive_run(machine, start, budget)
+            continue
+        assert naive_run(machine, start, budget) == expected
+
+
+def test_base_cells_erased_and_rewritten():
+    # Erase cell 1 of "111", step left past cell 0, then write 0 over the erased cell.
+    machine = Machine.from_rules(
+        [
+            ("a", "1", "b", "1", "R"),
+            ("b", "1", "c", BLANK, "L"),
+            ("c", "1", "d", "1", "L"),
+            ("d", BLANK, "e", BLANK, "R"),
+            ("e", "1", "f", "1", "R"),
+            ("f", BLANK, "g", "0", "R"),
+        ],
+        "a",
+        extra_states=("g",),
+        extra_symbols=("0",),
+    )
+    outcome = run_with_loop_detection(machine, unary_id(machine, 3), 20)
+    assert outcome == Halted(6, ID("g", 2, {0: "1", 1: "0", 2: "1"}))
+    assert repr(outcome.final_id) == "ID(state='g', head=2, tape={0: '1', 1: '0', 2: '1'})"
+    assert count_symbols(outcome.final_id) == 2 and count_symbols(outcome.final_id, "0") == 1
+    assert unary_id(machine, 4, BLANK).tape == {}
+
+
+def test_trial_machines_are_built_as_before():
+    for value in range(6):
+        rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
+        assert unary_writer(value) == Machine.from_rules(rules, "w0", extra_states=(f"w{value}",))
+    assert two_state_looper() is two_state_looper()
+
+
+def dovetail_allocation(global_budget):
+    """Bytes a grow_right zero-of dovetail allocates, summed over its scheduler events.
+
+    Each event adds the tracemalloc peak above what was live when the
+    previous event ended, so a trial whose set-up copies its unary start
+    tape adds bytes in proportion to that tape, however soon it is freed.
+    """
+    machine = corpus_machine("grow_right.tm")
+    task = SearchTask(
+        0, lambda y: SubRun(machine, unary_id(machine, y)), lambda h: unary_output(h) == 0
+    )
+    total = live = 0
+
+    def observer(event):
+        nonlocal total, live
+        total += tracemalloc.get_traced_memory()[1] - live
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        dovetail([task], 1_000_000, global_budget, observer)
+    finally:
+        tracemalloc.stop()
+    return total
+
+
+def test_dovetail_over_unary_trials_costs_linear_allocation():
+    # Trial y starts from y ones and halts at step 0; a set-up in O(y)
+    # makes the sum quadratic in the budget (a ratio near 16).
+    assert dovetail_allocation(8000) < 5 * dovetail_allocation(2000)
