@@ -1,8 +1,9 @@
 """Command-line front end: one subcommand per capability, records out.
 
-Data records go to stdout as line-delimited JSON or CSV (``--format`` or
-the ``GU_FORMAT`` environment variable); every invocation additionally
-writes exactly one run-manifest record to stderr.  All output is
+Data records go to stdout as line-delimited JSON, each as soon as it
+exists, or as CSV once the command ends (``--format`` or the ``GU_FORMAT``
+environment variable); every invocation additionally writes exactly one
+run-manifest record to stderr.  All output is
 deterministic: identical arguments and files give byte-identical output.
 """
 
@@ -13,6 +14,8 @@ import csv
 import json
 import os
 import sys
+import tempfile
+from bisect import bisect_left
 from contextlib import ExitStack
 from importlib import resources
 from pathlib import Path
@@ -20,14 +23,15 @@ from typing import Optional, Sequence
 
 from . import __version__, beta, collapse, corpus, dovetail, universe
 from .machine import (
+    BLANK,
     Halted,
     ID,
     LoopDetected,
     MachineParseError,
     MalformedIDError,
+    Runner,
     count_symbols,
     load_machine_file,
-    run_with_loop_detection,
     unary_id,
 )
 
@@ -43,16 +47,49 @@ class CliError(Exception):
     pass
 
 
-def _emit(records: list[dict], fmt: str, out) -> None:
-    if fmt == "jsonl":
-        for record in records:
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-        return
-    columns = sorted({key for record in records for key in record})
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for record in records:
-        writer.writerow(["" if record.get(col) is None else record.get(col) for col in columns])
+# json.dumps(record, sort_keys=True) builds an encoder per call; this one is built once.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+class _Emitter:
+    """Writes each data record (a dict of JSON scalars) as soon as it exists.
+
+    JSONL writes the record at once.  A CSV header is the sorted union of
+    the keys of every record, so CSV keeps its records in a temporary file
+    (in memory up to 1 MB, then on disk) until ``finish`` writes the header
+    and the rows; records not yet written when a command fails are dropped.
+    """
+
+    def __init__(self, fmt: str, out) -> None:
+        self.out = out
+        self.columns: Optional[set[str]] = None
+        if fmt == "csv":
+            self.columns = set()
+            self.spool = tempfile.SpooledTemporaryFile(1 << 20, "w+", encoding="utf-8")
+
+    def __call__(self, record: dict) -> None:
+        line = _encode(record) + "\n"
+        if self.columns is None:
+            self.out.write(line)
+        else:
+            self.columns.update(record)
+            self.spool.write(line)
+
+    def finish(self) -> None:
+        """Write what is still held: the CSV header and rows."""
+        if self.columns is None:
+            return
+        columns = sorted(self.columns)
+        writer = csv.writer(self.out, lineterminator="\n")
+        writer.writerow(columns)
+        self.spool.seek(0)
+        for line in self.spool:
+            record = json.loads(line)
+            writer.writerow(["" if record.get(col) is None else record.get(col) for col in columns])
+
+    def close(self) -> None:
+        if self.columns is not None:
+            self.spool.close()
 
 
 def _manifest(args: argparse.Namespace, inputs: dict, summary: str) -> None:
@@ -123,8 +160,59 @@ def _parse_range(text: str) -> range:
         raise CliError(f"bad range {text!r} (use N or A..B)") from exc
 
 
-def _tape_text(desc: ID) -> str:
-    return " ".join(f"{cell}:{sym}" for cell, sym in sorted(desc.tape.items()))
+class _TraceView:
+    """A ``Runner.run`` step hook that emits one visit record per configuration.
+
+    The record is the canonical configuration: cells and head shifted so
+    the leftmost written cell (the head, on a blank tape) is 0.  The view
+    keeps the sorted non-blank cells, their symbols and their "k:sym"
+    tokens.  A step changes at most the cell the head left, so a visit
+    updates one token, and renumbers them all only when the leftmost
+    written cell changes.
+    """
+
+    def __init__(self, runner: Runner, emit: _Emitter) -> None:
+        tape = runner.snapshot().tape
+        self.cells = sorted(tape)
+        self.syms = [tape[cell] for cell in self.cells]
+        self._renumber()
+        self.head = runner.head
+        self.emit = emit
+
+    def _renumber(self) -> None:
+        shift = self.cells[0] if self.cells else 0
+        self.tokens = [f"{cell - shift}:{sym}" for cell, sym in zip(self.cells, self.syms)]
+
+    def __call__(self, runner: Runner) -> None:
+        cell, self.head = self.head, runner.head
+        sym = runner.symbol_at(cell)
+        cells = self.cells
+        i = bisect_left(cells, cell)
+        if i < len(cells) and cells[i] == cell:
+            if sym == BLANK:
+                del cells[i], self.syms[i], self.tokens[i]
+                if not i:
+                    self._renumber()
+            elif sym != self.syms[i]:
+                self.syms[i] = sym
+                self.tokens[i] = f"{cell - cells[0]}:{sym}"
+        elif sym != BLANK:
+            cells.insert(i, cell)
+            self.syms.insert(i, sym)
+            if i:
+                self.tokens.insert(i, f"{cell - cells[0]}:{sym}")
+            else:
+                self._renumber()
+        shift = cells[0] if cells else runner.head
+        self.emit(
+            {
+                "record": "visit",
+                "step": runner.steps,
+                "state": runner.state,
+                "head": runner.head - shift,
+                "tape": " ".join(self.tokens),
+            }
+        )
 
 
 def _resolve_config(name: str, stack: ExitStack) -> Path:
@@ -140,7 +228,7 @@ def _resolve_config(name: str, stack: ExitStack) -> Path:
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace, emit: _Emitter) -> int:
     try:
         machine = load_machine_file(args.machine)
     except MachineParseError as exc:
@@ -152,27 +240,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     start = _parse_input_spec(args.input, machine)
     if args.budget < 0:
         raise CliError(f"budget must be >= 0, got {args.budget}")
-    records: list[dict] = []
-
-    def on_visit(step_index: int, canon: ID) -> None:
-        records.append(
-            {
-                "record": "visit",
-                "step": step_index,
-                "state": canon.state,
-                "head": canon.head,
-                "tape": _tape_text(canon),
-            }
-        )
-
     try:
-        outcome = run_with_loop_detection(
-            machine, start, args.budget, on_visit if args.trace else None
-        )
+        runner = Runner(machine, start)
+        outcome = runner.run(args.budget, _TraceView(runner, emit) if args.trace else None)
     except MalformedIDError as exc:
         raise CliError(f"{args.input}: {exc}") from exc
     if isinstance(outcome, Halted):
-        records.append(
+        emit(
             {
                 "record": "outcome",
                 "kind": "halted",
@@ -182,7 +256,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         status, summary = EXIT_OK, f"halted steps={outcome.steps}"
     elif isinstance(outcome, LoopDetected):
-        records.append(
+        emit(
             {
                 "record": "outcome",
                 "kind": "loop-detected",
@@ -193,9 +267,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         status = EXIT_LOOP
         summary = f"loop-detected step={outcome.first_repeat_step} period={outcome.period}"
     else:
-        records.append({"record": "outcome", "kind": "budget-exceeded", "budget": outcome.budget})
+        emit({"record": "outcome", "kind": "budget-exceeded", "budget": outcome.budget})
         status, summary = EXIT_BUDGET, f"budget-exceeded budget={outcome.budget}"
-    _emit(records, args.format, sys.stdout)
+    emit.finish()
     _manifest(
         args,
         {
@@ -209,15 +283,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_beta(args: argparse.Namespace) -> int:
+def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
     if args.beta_command in ("matches", "predict") and args.bound < 1:
         raise CliError(f"bound must be >= 1, got {args.bound}")
-    records: list[dict] = []
     inputs: dict = {}
     if args.beta_command == "encode":
         seq = _parse_naturals(args.sequence)
         pair = beta.beta_encode(seq)
-        records.append({"record": "pair", "b": pair.b, "c": pair.c})
+        emit({"record": "pair", "b": pair.b, "c": pair.c})
         inputs = {"sequence": seq}
         summary = f"b={pair.b} c={pair.c}"
     elif args.beta_command == "eval":
@@ -229,13 +302,14 @@ def cmd_beta(args: argparse.Namespace) -> int:
         if args.index < 0:
             raise CliError(f"index must be >= 0, got {args.index}")
         value = beta.beta_eval(pair, args.index)
-        records.append({"record": "value", "i": args.index, "value": value})
+        emit({"record": "value", "i": args.index, "value": value})
         inputs = {"pair": [b, c], "index": args.index}
         summary = f"value={value}"
     elif args.beta_command == "matches":
         seq = _parse_naturals(args.sequence)
         pairs = beta.enumerate_matches(seq, args.bound)
-        records.extend({"record": "pair", "b": p.b, "c": p.c} for p in pairs)
+        for p in pairs:
+            emit({"record": "pair", "b": p.b, "c": p.c})
         inputs = {"sequence": seq, "bound": args.bound}
         summary = f"{len(pairs)} matching pairs"
     elif args.beta_command == "predict":
@@ -244,8 +318,9 @@ def cmd_beta(args: argparse.Namespace) -> int:
             dist = beta.next_value_distribution(seq, args.bound)
         except beta.EmptyMatchSetError as exc:
             raise CliError(str(exc)) from exc
-        for value, freq in dist.frequencies().items():
-            records.append(
+        frequencies = dist.frequencies()
+        for value, freq in frequencies.items():
+            emit(
                 {
                     "record": "prediction",
                     "value": value,
@@ -255,7 +330,7 @@ def cmd_beta(args: argparse.Namespace) -> int:
                 }
             )
         inputs = {"sequence": seq, "bound": args.bound}
-        summary = f"{len(records)} predicted values over {dist.total} pairs"
+        summary = f"{len(frequencies)} predicted values over {dist.total} pairs"
     else:
         first = _parse_tagged(args.first)
         second = _parse_tagged(args.second)
@@ -263,15 +338,16 @@ def cmd_beta(args: argparse.Namespace) -> int:
             merged = beta.superpose(first, second)
         except beta.TagCollisionError as exc:
             raise CliError(str(exc)) from exc
-        records.extend({"record": "entry", "tag": t, "value": v} for t, v in merged.entries)
+        for t, v in merged.entries:
+            emit({"record": "entry", "tag": t, "value": v})
         inputs = {"first": args.first, "second": args.second}
         summary = f"{len(merged)} entries"
-    _emit(records, args.format, sys.stdout)
+    emit.finish()
     _manifest(args, inputs, summary)
     return EXIT_OK
 
 
-def cmd_dovetail(args: argparse.Namespace) -> int:
+def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> int:
     if args.sub_budget < 1:
         raise CliError(f"sub-budget must be >= 1, got {args.sub_budget}")
     if args.global_budget < 1:
@@ -298,10 +374,9 @@ def cmd_dovetail(args: argparse.Namespace) -> int:
             )
         )
         resolved.append({"machine": os.path.abspath(path), "accept": predicate})
-    records: list[dict] = []
 
     def observer(event: dovetail.SchedulerEvent) -> None:
-        records.append(
+        emit(
             {
                 "record": "event",
                 "step": event.global_step,
@@ -314,7 +389,7 @@ def cmd_dovetail(args: argparse.Namespace) -> int:
 
     outcome = dovetail.dovetail(tasks, args.sub_budget, args.global_budget, observer)
     if isinstance(outcome, dovetail.FirstSuccess):
-        records.append(
+        emit(
             {
                 "record": "outcome",
                 "kind": "first-success",
@@ -325,14 +400,14 @@ def cmd_dovetail(args: argparse.Namespace) -> int:
         )
         summary = f"first-success task={outcome.task_id} trial={outcome.trial}"
     elif isinstance(outcome, dovetail.AllExhausted):
-        records.append({"record": "outcome", "kind": "all-exhausted"})
+        emit({"record": "outcome", "kind": "all-exhausted"})
         summary = "all-exhausted"
     else:
-        records.append(
+        emit(
             {"record": "outcome", "kind": "global-budget-exceeded", "budget": outcome.global_budget}
         )
         summary = "global-budget-exceeded"
-    _emit(records, args.format, sys.stdout)
+    emit.finish()
     _manifest(
         args,
         {"tasks": resolved, "sub_budget": args.sub_budget, "global_budget": args.global_budget},
@@ -349,7 +424,7 @@ def _verdict_text(verdict: universe.PredictabilityVerdict) -> str:
     return f"undetermined(window={verdict.window})"
 
 
-def cmd_universe(args: argparse.Namespace) -> int:
+def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> int:
     if args.steps is not None and args.steps < 0:
         raise CliError(f"steps must be >= 0, got {args.steps}")
     if args.window is not None and args.window < 1:
@@ -363,7 +438,6 @@ def cmd_universe(args: argparse.Namespace) -> int:
     steps = args.steps if args.steps is not None else setup.steps
     window = args.window if args.window is not None else setup.window
     u = setup.universe
-    records: list[dict] = []
     names = {}
     for p in u.particles:
         for k in p.providers:
@@ -381,7 +455,7 @@ def cmd_universe(args: argparse.Namespace) -> int:
             for k, value in sig.values.items():
                 record[names[k]] = "horizon-exceeded" if value is None else value
                 series.setdefault((particle.id, k), []).append(value)
-            records.append(record)
+            emit(record)
     report = universe.check_predictability_obstruction(u)
     verdicts: dict[str, list[str]] = {"predictable": [], "random": [], "undetermined": [], "horizon-limited": []}
     for (pid, k), values in sorted(series.items()):
@@ -396,7 +470,7 @@ def cmd_universe(args: argparse.Namespace) -> int:
             verdicts["random"].append(label)
         else:
             verdicts["undetermined"].append(label)
-    records.append(
+    emit(
         {
             "record": "report",
             "classification": report.classification.value,
@@ -412,7 +486,7 @@ def cmd_universe(args: argparse.Namespace) -> int:
             "window": window,
         }
     )
-    _emit(records, args.format, sys.stdout)
+    emit.finish()
     _manifest(
         args,
         {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window},
@@ -421,7 +495,7 @@ def cmd_universe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_collapse(args: argparse.Namespace) -> int:
+def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> int:
     try:
         hm = collapse.make_horizon_machine(args.pred, args.k)
     except ValueError as exc:
@@ -429,11 +503,10 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     if args.measure is not None and args.measure < 0:
         raise CliError(f"measure must be >= 0, got {args.measure}")
     measured = collapse.measure(hm, args.measure) if args.measure is not None else hm
-    records: list[dict] = []
     for n in _parse_range(args.eval):
         before = collapse.evaluate(hm, n)
         after = collapse.evaluate(measured, n)
-        records.append(
+        emit(
             {
                 "record": "eval",
                 "n": n,
@@ -441,7 +514,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
                 "after": "loop" if isinstance(after, LoopDetected) else after,
             }
         )
-    records.append(
+    emit(
         {
             "record": "horizons",
             "before": hm.horizon,
@@ -449,7 +522,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
             "history": " ".join(str(k) for k in measured.history),
         }
     )
-    _emit(records, args.format, sys.stdout)
+    emit.finish()
     _manifest(
         args,
         {"pred": args.pred, "k": args.k, "measure": args.measure, "eval": args.eval},
@@ -458,24 +531,24 @@ def cmd_collapse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: argparse.Namespace, emit: _Emitter) -> int:
     results = corpus.verify_corpus()
-    records = [
-        {
-            "record": "verify",
-            "machine": r.name,
-            "expected": r.expected,
-            "observed": r.observed,
-            "passed": r.passed,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
+    for r in results:
+        emit(
+            {
+                "record": "verify",
+                "machine": r.name,
+                "expected": r.expected,
+                "observed": r.observed,
+                "passed": r.passed,
+                "detail": r.detail,
+            }
+        )
     passed = sum(1 for r in results if r.passed)
-    records.append(
+    emit(
         {"record": "summary", "passed": passed, "failed": len(results) - passed, "total": len(results)}
     )
-    _emit(records, args.format, sys.stdout)
+    emit.finish()
     _manifest(args, {"machines": len(results)}, f"{passed}/{len(results)} passed")
     return EXIT_OK if passed == len(results) else EXIT_ERROR
 
@@ -563,13 +636,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
+    emit = _Emitter(args.format, sys.stdout)
     try:
-        return args.func(args)
+        return args.func(args, emit)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _manifest(args, {}, f"error: {exc}")
         return EXIT_ERROR
     finally:
+        emit.close()
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
 

@@ -451,29 +451,39 @@ class Runner:
             return None
         return self._confirm((state, fp), first)
 
+    def symbol_at(self, cell: int) -> str:
+        """The symbol on ``cell`` now (a blank cell reads ``BLANK``), without changing the run."""
+        sym = self.tape.get(cell, self.miss)
+        if sym is None:
+            sym = self.base_symbol if 0 <= cell < self.base_len else BLANK
+        return sym
+
     def halted(self) -> Optional[Halted]:
         """``Halted`` if no rule applies to the current configuration, else ``None``."""
-        sym = self.tape.get(self.head, self.miss)
-        if sym is None:
-            sym = self.base_symbol if 0 <= self.head < self.base_len else BLANK
+        sym = self.symbol_at(self.head)
         if (self.state, sym) in self.transitions:
             return None
         return self._halt(sym)
 
     def run(
-        self, budget: int, on_visit: Optional[Callable[[int, ID], None]] = None
+        self, budget: int, on_step: Optional[Callable[["Runner"], None]] = None
     ) -> RunOutcome:
-        """Advance until an outcome, or for ``budget`` steps (see ``run_with_loop_detection``)."""
+        """Advance until an outcome, or for ``budget`` steps (see ``run_with_loop_detection``).
+
+        ``on_step(self)`` is called at the start and after every step taken,
+        the one that detects a loop included; a step changes at most the
+        cell the head left.
+        """
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        if on_visit is not None:
-            on_visit(self.steps, canonicalize(self.snapshot()))
+        if on_step is not None:
+            on_step(self)
         for _ in range(budget):
             outcome = self.advance()
             if isinstance(outcome, Halted):
                 return outcome
-            if on_visit is not None:
-                on_visit(self.steps, canonicalize(self.snapshot()))
+            if on_step is not None:
+                on_step(self)
             if outcome is not None:
                 return outcome
         return self.halted() or BudgetExceeded(budget)
@@ -533,7 +543,10 @@ def run_with_loop_detection(
     ``on_visit`` observes (step index, canonical configuration) for every
     configuration visited, the start included.
     """
-    return Runner(machine, start).run(budget, on_visit)
+    on_step = None
+    if on_visit is not None:
+        on_step = lambda run: on_visit(run.steps, canonicalize(run.snapshot()))
+    return Runner(machine, start).run(budget, on_step)
 
 
 def naive_run(machine: Machine, start: ID, budget: int) -> Halted | BudgetExceeded:

@@ -523,6 +523,13 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
     return UniformProvider(rule)
 
 
+def _config_int(path: Path, what: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {what} must be an integer, got {value!r}") from exc
+
+
 def load_universe_config(path: str | Path) -> SimSetup:
     """Load a JSON universe description: registry entries, particles, horizon."""
     path = Path(path)
@@ -554,7 +561,7 @@ def load_universe_config(path: str | Path) -> SimSetup:
             if number is None or number not in providers:
                 raise ConfigError(f"{path}: initial value for unprovided property {prop_name!r}")
             actual = provider_value(providers[number], 0)
-            if actual != int(declared):
+            if actual != _config_int(path, f"initial value for {prop_name!r}", declared):
                 raise ConfigError(
                     f"{path}: initial value {declared} for {prop_name!r} does not match "
                     f"the provider value {actual} at t=0"
@@ -563,8 +570,8 @@ def load_universe_config(path: str | Path) -> SimSetup:
     ids = [p.id for p in particles]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"{path}: duplicate particle ids")
-    steps = int(data.get("steps", 5))
-    window = int(data.get("window", 3))
+    steps = _config_int(path, "steps", data.get("steps", 5))
+    window = _config_int(path, "window", data.get("window", 3))
     if steps < 0 or window < 1:
         raise ConfigError(f"{path}: steps must be >= 0 and window >= 1")
     return SimSetup(Universe(registry, tuple(particles)), steps, window)

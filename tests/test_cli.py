@@ -1,14 +1,27 @@
 """CLI contract: records, exit codes, formats, and byte-for-byte reproducibility."""
 
+import csv
 import io
 import json
+import os
+import random
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
 
 from godelsim import beta, cli
+from godelsim.machine import (
+    ID,
+    Halted,
+    LoopDetected,
+    count_symbols,
+    parse_machine_text,
+    run_with_loop_detection,
+    unary_id,
+)
 
 
 def invoke(*argv):
@@ -238,6 +251,14 @@ def test_run_reading_a_foreign_symbol_is_a_clean_error():
     assert "'x'" in err.splitlines()[0]
 
 
+def test_records_before_an_error_stay_in_jsonl_and_csv_writes_none():
+    argv = ("run", corpus_path("grow_right.tm"), "--input", "cells:0=x", "--trace")
+    code, out, err = invoke(*argv)
+    assert code == 1 and "Traceback" not in err
+    assert records_of(out) == [{"record": "visit", "step": 0, "state": "g", "head": 0, "tape": "0:x"}]
+    assert_one_line_error(*invoke("--format", "csv", *argv))
+
+
 def test_run_foreign_symbol_never_read_runs_as_before():
     # grow_right only moves right, so the head never reaches cell -1.
     code, out, _ = invoke("run", corpus_path("grow_right.tm"), "--input", "cells:-1=x", "--budget", "20")
@@ -314,3 +335,127 @@ def test_beta_encode_past_the_int_digit_limit():
         assert out == json.dumps(record, sort_keys=True) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        ({"steps": "x"}, "steps"),
+        ({"window": "x"}, "window"),
+        ({"particles": [{"id": 1, "providers": {"p": "uniform:constant,value=1"},
+                         "initial": {"p": "one"}}]}, "initial value for 'p'"),
+    ],
+    ids=["steps", "window", "initial"],
+)
+def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"properties": ["p"], **config}), encoding="utf-8")
+    code, out, err = invoke("universe", "sim", "--config", str(path))
+    assert_one_line_error(code, out, err)
+    assert name in err.splitlines()[0]
+
+
+# --- gu run --trace against records rebuilt from the library -------------------
+
+
+def old_run_output(machine, start, budget, fmt):
+    """``gu run --trace`` exit code and stdout, built from ``run_with_loop_detection``
+    with every visit formatted from its sorted canonical tape and every record
+    held until the run ends."""
+    records = []
+
+    def on_visit(step, canon):
+        tape = " ".join(f"{cell}:{sym}" for cell, sym in sorted(canon.tape.items()))
+        records.append(
+            {"record": "visit", "step": step, "state": canon.state, "head": canon.head, "tape": tape}
+        )
+
+    outcome = run_with_loop_detection(machine, start, budget, on_visit)
+    if isinstance(outcome, Halted):
+        code = 0
+        last = {"steps": outcome.steps, "ones": count_symbols(outcome.final_id), "kind": "halted"}
+    elif isinstance(outcome, LoopDetected):
+        code = 2
+        last = {"first_repeat_step": outcome.first_repeat_step, "period": outcome.period,
+                "kind": "loop-detected"}
+    else:
+        code, last = 3, {"budget": outcome.budget, "kind": "budget-exceeded"}
+    records.append({"record": "outcome", **last})
+    if fmt == "jsonl":
+        return code, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    out = io.StringIO()
+    columns = sorted({key for r in records for key in r})
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for r in records:
+        writer.writerow(["" if r.get(col) is None else r.get(col) for col in columns])
+    return code, out.getvalue()
+
+
+def test_run_trace_matches_library_records_on_random_machines(tmp_path):
+    rng = random.Random(20031)
+    symbols, states = ["_", "0", "1"], ["q0", "q1", "q2"]
+    for index in range(400):
+        lines = ["states: q0 q1 q2", "alphabet: _ 0 1", "start: q0"]
+        for state in states:
+            for sym in symbols:
+                if rng.random() < 0.15:
+                    continue  # no rule: the machine halts here
+                move = rng.choice("LR")
+                lines.append(f"{state} {sym} -> {rng.choice(states)} {rng.choice(symbols)} {move}")
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / f"m{index}.tm"
+        path.write_text(text, encoding="utf-8")
+        machine = parse_machine_text(text)
+        kind = index % 3
+        if kind == 0:
+            spec, start = "blank", ID(machine.start_state, 0, {})
+        elif kind == 1:
+            n = rng.randrange(13)
+            spec, start = f"unary:{n}", unary_id(machine, n)
+        else:
+            cells = {rng.randrange(-6, 7): rng.choice(symbols) for _ in range(rng.randrange(7))}
+            spec = "cells:" + ",".join(f"{cell}={sym}" for cell, sym in cells.items())
+            start = ID(machine.start_state, 0, cells)
+        budget = rng.randrange(81)
+        for fmt in ("jsonl", "csv"):
+            argv = ["--format", fmt, "run", str(path), "--input", spec, "--budget", str(budget)]
+            code, out, _ = invoke(*argv, "--trace")
+            assert (code, out) == old_run_output(machine, start, budget, fmt), (text, argv)
+
+
+# --- streamed output: memory set by the tape, not by the records written ---------
+
+
+def peak_traced(*argv):
+    """Peak traced allocation of one ``gu`` call whose stdout goes to the null device.
+
+    An untraced call first takes the allocations that only a first call makes.
+    """
+    with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+        with redirect_stderr(io.StringIO()):
+            cli.main(list(argv))
+            tracemalloc.start()
+            try:
+                cli.main(list(argv))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+
+def test_run_trace_memory_grows_with_the_tape_not_the_output():
+    def peak(budget):
+        return peak_traced("run", corpus_path("grow_right.tm"), "--budget", str(budget), "--trace")
+
+    # The tape and the seen table grow linearly (a ratio near 2); records held
+    # until the end grow as steps x tape (near 4).
+    assert peak(2000) < 3 * peak(1000)
+
+
+def test_dovetail_memory_is_flat_in_the_global_budget():
+    def peak(budget):
+        task = corpus_path("grow_right.tm") + "=zero-of"
+        return peak_traced("dovetail", task, "--global-budget", str(budget))
+
+    # One event record per global step, each written at once.
+    assert peak(8000) < 1.5 * peak(2000)

@@ -287,6 +287,25 @@ def test_runner_matches_brute_force_on_random_machines():
     assert verdicts == {Halted, LoopDetected, BudgetExceeded}
 
 
+def test_run_step_hook_sees_each_configuration_and_reads_cells_in_place():
+    rng = random.Random(113)
+    runs = random_runs(113, 60)
+    runs += [(m, unary_id(m, rng.randint(0, 9)), b) for m, _, b in runs[::4]]
+    for machine, start, budget in runs:
+        hooked = []
+
+        def on_step(runner):
+            desc = runner.snapshot()
+            cells = range(runner.head - 6, runner.head + 7)
+            assert [runner.symbol_at(c) for c in cells] == [desc.symbol_at(c) for c in cells]
+            hooked.append(runner.steps)
+
+        outcome = Runner(machine, start).run(budget, on_step)
+        assert outcome == brute_force_run(machine, start, budget)
+        last = {Halted: "steps", LoopDetected: "first_repeat_step", BudgetExceeded: "budget"}
+        assert hooked == list(range(getattr(outcome, last[type(outcome)]) + 1))
+
+
 def test_forced_fingerprint_collisions_leave_verdicts_unchanged(monkeypatch):
     runs = random_runs(103)
     before = [run_with_loop_detection(*run) for run in runs]
