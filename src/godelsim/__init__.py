@@ -2,6 +2,16 @@
 
 __version__ = "0.1.0"
 
+
+class GodelsimError(ValueError):
+    """Base class of every error the library raises for a bad argument or input.
+
+    Defined before the submodules are imported, since each of them derives
+    its own errors from it.  A ``ValueError``, so callers that catch that
+    keep working.
+    """
+
+
 from . import beta, collapse, corpus, dovetail, machine, universe  # noqa: F401
 from .beta import (
     BetaPair,

@@ -15,12 +15,14 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import GodelsimError
 
-class EmptyMatchSetError(Exception):
+
+class EmptyMatchSetError(GodelsimError):
     """No pair within the bound reproduces the sequence; no frequencies exist."""
 
 
-class TagCollisionError(Exception):
+class TagCollisionError(GodelsimError):
     """Two tagged sequences share an interaction tag and cannot be merged."""
 
 
@@ -31,9 +33,9 @@ class BetaPair:
 
     def __post_init__(self) -> None:
         if self.b < 0:
-            raise ValueError("b must be >= 0")
+            raise GodelsimError("b must be >= 0")
         if self.c < 1:
-            raise ValueError("c must be >= 1")
+            raise GodelsimError("c must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,9 @@ class TaggedSequence:
     def __post_init__(self) -> None:
         tags = [tag for tag, _ in self.entries]
         if any(tag < 0 for tag in tags) or any(value < 0 for _, value in self.entries):
-            raise ValueError("tags and values must be naturals")
+            raise GodelsimError("tags and values must be naturals")
         if any(a >= b for a, b in zip(tags, tags[1:])):
-            raise ValueError("tags must be strictly increasing")
+            raise GodelsimError("tags must be strictly increasing")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "TaggedSequence":
@@ -82,15 +84,15 @@ class NextValueDistribution:
 
 def _check_sequence(seq: Sequence[int]) -> None:
     if len(seq) == 0:
-        raise ValueError("sequence must be non-empty")
+        raise GodelsimError("sequence must be non-empty")
     if any(v < 0 for v in seq):
-        raise ValueError("sequence values must be naturals")
+        raise GodelsimError("sequence values must be naturals")
 
 
 def beta_eval(pair: BetaPair, i: int) -> int:
     """Value of the pair's sequence at index ``i``: b mod (1 + (i+1)*c)."""
     if i < 0:
-        raise ValueError("index must be >= 0")
+        raise GodelsimError("index must be >= 0")
     return pair.b % (1 + (i + 1) * pair.c)
 
 
@@ -132,7 +134,7 @@ def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, in
     """
     _check_sequence(seq)
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise GodelsimError("bound must be >= 1")
     # No c below this matches: each value must be less than its modulus 1 + (i+1)*c.
     first = max(1, *(-(-value // (i + 1)) for i, value in enumerate(seq)))
     v0 = seq[0]

@@ -16,12 +16,12 @@ import os
 import sys
 import tempfile
 from bisect import bisect_left
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__, beta, collapse, corpus, dovetail, universe
+from . import GodelsimError, __version__, beta, collapse, corpus, dovetail, universe
 from .machine import (
     BLANK,
     Halted,
@@ -43,8 +43,39 @@ EXIT_LOOP = 2
 EXIT_BUDGET = 3
 
 
-class CliError(Exception):
-    pass
+class CliError(GodelsimError):
+    """A bad command line, or an input that no library call rejects by itself."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``CliError``, so it takes the one error path of ``main``."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
+def natural(text: str) -> int:
+    """Argument type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive(text: str) -> int:
+    """Argument type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def output_format(text: str) -> str:
+    """Argument type of ``--format``; argparse applies it to the ``GU_FORMAT`` default too."""
+    if text not in FORMATS:
+        choices = ", ".join(map(repr, FORMATS))
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
 # json.dumps(record, sort_keys=True) builds an encoder per call; this one is built once.
@@ -124,10 +155,7 @@ def _parse_tagged(text: str) -> beta.TaggedSequence:
             entries.append((int(tag), int(value)))
         except ValueError as exc:
             raise CliError(f"bad tag:value entry {part!r}") from exc
-    try:
-        return beta.TaggedSequence.from_pairs(entries)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return beta.TaggedSequence.from_pairs(entries)
 
 
 def _parse_input_spec(spec: str, machine) -> ID:
@@ -216,12 +244,12 @@ class _TraceView:
 
 
 def _resolve_config(name: str, stack: ExitStack) -> Path:
-    path = Path(name)
-    if path.exists():
-        return path
-    packaged = resources.files("godelsim").joinpath(f"data/configs/{name}.json")
-    if packaged.is_file():
-        return stack.enter_context(resources.as_file(packaged))
+    # os.path.exists answers False, where Path.exists raises, for a name the OS rejects.
+    if os.path.exists(name):
+        return Path(name)
+    shipped = resources.files("godelsim").joinpath("data/configs")
+    if f"{name}.json" in {entry.name for entry in shipped.iterdir()}:
+        return stack.enter_context(resources.as_file(shipped.joinpath(f"{name}.json")))
     raise CliError(f"no such config file or shipped config: {name}")
 
 
@@ -238,8 +266,6 @@ def cmd_run(args: argparse.Namespace, emit: _Emitter) -> int:
     except OSError as exc:
         raise CliError(f"cannot read {args.machine}: {exc}") from exc
     start = _parse_input_spec(args.input, machine)
-    if args.budget < 0:
-        raise CliError(f"budget must be >= 0, got {args.budget}")
     try:
         runner = Runner(machine, start)
         outcome = runner.run(args.budget, _TraceView(runner, emit) if args.trace else None)
@@ -284,8 +310,6 @@ def cmd_run(args: argparse.Namespace, emit: _Emitter) -> int:
 
 
 def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
-    if args.beta_command in ("matches", "predict") and args.bound < 1:
-        raise CliError(f"bound must be >= 1, got {args.bound}")
     inputs: dict = {}
     if args.beta_command == "encode":
         seq = _parse_naturals(args.sequence)
@@ -299,8 +323,6 @@ def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
             pair = beta.BetaPair(b, c)
         except ValueError as exc:
             raise CliError(f"bad pair {args.pair!r} (use b,c): {exc}") from exc
-        if args.index < 0:
-            raise CliError(f"index must be >= 0, got {args.index}")
         value = beta.beta_eval(pair, args.index)
         emit({"record": "value", "i": args.index, "value": value})
         inputs = {"pair": [b, c], "index": args.index}
@@ -314,10 +336,7 @@ def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
         summary = f"{len(pairs)} matching pairs"
     elif args.beta_command == "predict":
         seq = _parse_naturals(args.sequence)
-        try:
-            dist = beta.next_value_distribution(seq, args.bound)
-        except beta.EmptyMatchSetError as exc:
-            raise CliError(str(exc)) from exc
+        dist = beta.next_value_distribution(seq, args.bound)
         frequencies = dist.frequencies()
         for value, freq in frequencies.items():
             emit(
@@ -334,10 +353,7 @@ def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
     else:
         first = _parse_tagged(args.first)
         second = _parse_tagged(args.second)
-        try:
-            merged = beta.superpose(first, second)
-        except beta.TagCollisionError as exc:
-            raise CliError(str(exc)) from exc
+        merged = beta.superpose(first, second)
         for t, v in merged.entries:
             emit({"record": "entry", "tag": t, "value": v})
         inputs = {"first": args.first, "second": args.second}
@@ -348,10 +364,6 @@ def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
 
 
 def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> int:
-    if args.sub_budget < 1:
-        raise CliError(f"sub-budget must be >= 1, got {args.sub_budget}")
-    if args.global_budget < 1:
-        raise CliError(f"global-budget must be >= 1, got {args.global_budget}")
     tasks = []
     resolved = []
     for index, spec in enumerate(args.task):
@@ -416,25 +428,10 @@ def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> int:
     return EXIT_OK
 
 
-def _verdict_text(verdict: universe.PredictabilityVerdict) -> str:
-    if isinstance(verdict, universe.Predictable):
-        return f"predictable({verdict.stable_value}@{verdict.stabilized_at})"
-    if isinstance(verdict, universe.Random):
-        return f"random({verdict.witness[0]},{verdict.witness[1]})"
-    return f"undetermined(window={verdict.window})"
-
-
 def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> int:
-    if args.steps is not None and args.steps < 0:
-        raise CliError(f"steps must be >= 0, got {args.steps}")
-    if args.window is not None and args.window < 1:
-        raise CliError(f"window must be >= 1, got {args.window}")
     with ExitStack() as stack:
         config_path = _resolve_config(args.config, stack)
-        try:
-            setup = universe.load_universe_config(config_path)
-        except universe.ConfigError as exc:
-            raise CliError(str(exc)) from exc
+        setup = universe.load_universe_config(config_path)
     steps = args.steps if args.steps is not None else setup.steps
     window = args.window if args.window is not None else setup.window
     u = setup.universe
@@ -447,10 +444,7 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> int:
     series: dict[tuple[int, int], list[Optional[int]]] = {}
     for t in range(steps):
         for particle in u.particles:
-            try:
-                sig = universe.signature_at(u, particle.id, t)
-            except universe.ProviderError as exc:
-                raise CliError(str(exc)) from exc
+            sig = universe.signature_at(u, particle.id, t)
             record: dict = {"record": "signature", "t": t, "particle": particle.id}
             for k, value in sig.values.items():
                 record[names[k]] = "horizon-exceeded" if value is None else value
@@ -496,12 +490,7 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> int:
 
 
 def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> int:
-    try:
-        hm = collapse.make_horizon_machine(args.pred, args.k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if args.measure is not None and args.measure < 0:
-        raise CliError(f"measure must be >= 0, got {args.measure}")
+    hm = collapse.make_horizon_machine(args.pred, args.k)
     measured = collapse.measure(hm, args.measure) if args.measure is not None else hm
     for n in _parse_range(args.eval):
         before = collapse.evaluate(hm, n)
@@ -557,12 +546,13 @@ def cmd_corpus(args: argparse.Namespace, emit: _Emitter) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gu", description="Loop-detected machines, sequence codecs, and universe checks."
     )
     parser.add_argument(
         "--format",
-        choices=FORMATS,
+        type=output_format,
+        metavar="{jsonl,csv}",
         default=os.environ.get("GU_FORMAT", "jsonl"),
         help="output format for data records (default: GU_FORMAT or jsonl)",
     )
@@ -572,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run a machine file under loop detection")
     run.add_argument("machine")
     run.add_argument("--input", default="blank", help="blank | unary:N | cells:0=1,...")
-    run.add_argument("--budget", type=int, default=10_000)
+    run.add_argument("--budget", type=natural, default=10_000)
     run.add_argument("--trace", action="store_true", help="emit every visited configuration")
     run.set_defaults(func=cmd_run)
 
@@ -582,13 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("sequence", help="comma-separated naturals, e.g. 3,1,4")
     ev = bsub.add_parser("eval")
     ev.add_argument("pair", help="b,c")
-    ev.add_argument("index", type=int)
+    ev.add_argument("index", type=natural)
     mat = bsub.add_parser("matches")
     mat.add_argument("sequence")
-    mat.add_argument("--bound", type=int, required=True)
+    mat.add_argument("--bound", type=positive, required=True)
     pre = bsub.add_parser("predict")
     pre.add_argument("sequence")
-    pre.add_argument("--bound", type=int, required=True)
+    pre.add_argument("--bound", type=positive, required=True)
     sup = bsub.add_parser("superpose")
     sup.add_argument("first", help="tag:value pairs, e.g. 0:1,2:3")
     sup.add_argument("second")
@@ -596,16 +586,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     dov = commands.add_parser("dovetail", help="interleave machine searches fairly")
     dov.add_argument("task", nargs="+", help="machine file and predicate, e.g. m.tm=zero-of")
-    dov.add_argument("--sub-budget", type=int, default=64)
-    dov.add_argument("--global-budget", type=int, default=10_000)
+    dov.add_argument("--sub-budget", type=positive, default=64)
+    dov.add_argument("--global-budget", type=positive, default=10_000)
     dov.set_defaults(func=cmd_dovetail)
 
     uni = commands.add_parser("universe", help="simulate a configured universe")
     usub = uni.add_subparsers(dest="universe_command", required=True)
     sim = usub.add_parser("sim")
     sim.add_argument("--config", required=True, help="config file path or shipped config name")
-    sim.add_argument("--steps", type=int, default=None)
-    sim.add_argument("--window", type=int, default=None)
+    sim.add_argument("--steps", type=natural, default=None)
+    sim.add_argument("--window", type=positive, default=None)
     sim.set_defaults(func=cmd_universe)
 
     col = commands.add_parser("collapse", help="horizon machine demonstration")
@@ -613,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = csub.add_parser("demo")
     demo.add_argument("--pred", default="parity", help="parity | const=<v> | mod=<m> | pi")
     demo.add_argument("--k", type=int, required=True)
-    demo.add_argument("--measure", type=int, default=None)
+    demo.add_argument("--measure", type=natural, default=None)
     demo.add_argument("--eval", default="0..10", help="input range, e.g. 0..10")
     demo.set_defaults(func=cmd_collapse)
 
@@ -626,25 +616,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.format not in FORMATS:
-        print(f"error: bad format {args.format!r}", file=sys.stderr)
-        return EXIT_ERROR
-    # Exact integers such as the c of a long beta encoding exceed Python's default
-    # limit on int <-> str conversion; lift it for this command only.
+    """Run one ``gu`` command; any bad input gives one ``error:`` line, exit 1 and a manifest."""
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if digit_limit is not None:
-        sys.set_int_max_str_digits(0)
-    emit = _Emitter(args.format, sys.stdout)
+    args = argparse.Namespace(command=None, seed=None)  # the manifest's, if argv does not parse
     try:
-        return args.func(args, emit)
-    except CliError as exc:
+        args = build_parser().parse_args(argv)
+        # Exact integers such as the c of a long beta encoding exceed Python's default
+        # limit on int <-> str conversion; lift it for this command only.
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(0)
+        with closing(_Emitter(args.format, sys.stdout)) as emit:
+            return args.func(args, emit)
+    except GodelsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _manifest(args, {}, f"error: {exc}")
         return EXIT_ERROR
     finally:
-        emit.close()
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
 

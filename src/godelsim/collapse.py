@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Union
 
+from . import GodelsimError
 from .machine import (
     BudgetExceeded,
     LoopDetected,
@@ -33,6 +34,13 @@ def _pi_digits() -> str:
     return "".join(ch for ch in text if ch.isdigit())
 
 
+def _spec_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise GodelsimError(str(exc)) from exc
+
+
 def resolve_predicate(spec: str) -> Predicate:
     """Look up a total predicate from the built-in menu.
 
@@ -45,16 +53,16 @@ def resolve_predicate(spec: str) -> Predicate:
         digits = _pi_digits()
         return lambda n: int(digits[n % len(digits)])
     if spec.startswith("const="):
-        value = int(spec.split("=", 1)[1])
+        value = _spec_int(spec.split("=", 1)[1])
         if value < 0:
-            raise ValueError("const predicate value must be >= 0")
+            raise GodelsimError("const predicate value must be >= 0")
         return lambda n: value
     if spec.startswith("mod="):
-        modulus = int(spec.split("=", 1)[1])
+        modulus = _spec_int(spec.split("=", 1)[1])
         if modulus < 1:
-            raise ValueError("mod predicate needs modulus >= 1")
+            raise GodelsimError("mod predicate needs modulus >= 1")
         return lambda n: n % modulus
-    raise ValueError(f"unknown predicate spec {spec!r}")
+    raise GodelsimError(f"unknown predicate spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +76,11 @@ class HorizonMachine:
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise GodelsimError("horizon must be >= 1")
         if not self.history or self.history[-1] != self.horizon:
-            raise ValueError("history must end at the current horizon")
+            raise GodelsimError("history must end at the current horizon")
         if any(a >= b for a, b in zip(self.history, self.history[1:])):
-            raise ValueError("history must be strictly increasing")
+            raise GodelsimError("history must be strictly increasing")
 
 
 def make_horizon_machine(pred: Union[str, Predicate], k: int) -> HorizonMachine:
@@ -88,7 +96,7 @@ def make_horizon_machine(pred: Union[str, Predicate], k: int) -> HorizonMachine:
 def evaluate(hm: HorizonMachine, n: int) -> int | LoopDetected:
     """Run the machine for input ``n``: a value below the horizon, a loop at or past it."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise GodelsimError("n must be >= 0")
     if n < hm.horizon:
         value = hm.predicate(n)
         machine = unary_writer(value)
@@ -109,7 +117,7 @@ def measure(hm: HorizonMachine, n: int) -> HorizonMachine:
     the horizon jumps to n + 1 and the old horizon stays on record.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise GodelsimError("n must be >= 0")
     if n < hm.horizon:
         return hm
     return replace(hm, horizon=n + 1, history=hm.history + (n + 1,))

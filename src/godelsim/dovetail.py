@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
+from . import GodelsimError
 from .machine import (
     BudgetExceeded,
     Halted,
@@ -101,7 +102,7 @@ class SchedulerEvent:
 def diagonal_pairs(task_count: int) -> Iterator[tuple[int, int]]:
     """Cantor enumeration of (task index, trial index), task index < task_count."""
     if task_count < 1:
-        raise ValueError("task_count must be >= 1")
+        raise GodelsimError("task_count must be >= 1")
     diagonal = 0
     while True:
         for task in range(min(diagonal, task_count - 1) + 1):
@@ -154,11 +155,11 @@ def dovetail(
     results are reproducible bit for bit.
     """
     if not tasks:
-        raise ValueError("tasks must be non-empty")
+        raise GodelsimError("tasks must be non-empty")
     if sub_budget < 1 or global_budget < 1:
-        raise ValueError("budgets must be >= 1")
+        raise GodelsimError("budgets must be >= 1")
     if len({task.task_id for task in tasks}) != len(tasks):
-        raise ValueError("task ids must be unique")
+        raise GodelsimError("task ids must be unique")
 
     states = [_TaskState(task) for task in tasks]
     exhausted = 0  # tasks whose generator has returned None
@@ -288,7 +289,7 @@ def total_mu(g: MachineBackedFunction, args: Sequence[int], budget: int) -> Tota
     returns.
     """
     if budget < 0:
-        raise ValueError("budget must be >= 0")
+        raise GodelsimError("budget must be >= 0")
     for y in range(budget):
         result = g.evaluate(*args, y)
         if isinstance(result, LoopDetected):

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
+from . import GodelsimError
+
 BLANK = "_"
 
 
@@ -23,7 +25,7 @@ class Move(enum.Enum):
     RIGHT = "R"
 
 
-class MachineError(Exception):
+class MachineError(GodelsimError):
     """Base class for errors raised by this module."""
 
 
@@ -58,16 +60,16 @@ class Machine:
 
     def __post_init__(self) -> None:
         if BLANK not in self.alphabet:
-            raise ValueError("alphabet must contain the blank symbol")
+            raise GodelsimError("alphabet must contain the blank symbol")
         if self.start_state not in self.states:
-            raise ValueError(f"start state {self.start_state!r} not in states")
+            raise GodelsimError(f"start state {self.start_state!r} not in states")
         for (state, sym), (nstate, nsym, move) in self.transitions.items():
             if state not in self.states or nstate not in self.states:
-                raise ValueError(f"transition ({state!r}, {sym!r}) uses unknown state")
+                raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown state")
             if sym not in self.alphabet or nsym not in self.alphabet:
-                raise ValueError(f"transition ({state!r}, {sym!r}) uses unknown symbol")
+                raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown symbol")
             if not isinstance(move, Move):
-                raise ValueError("move must be a Move")
+                raise GodelsimError("move must be a Move")
         object.__setattr__(self, "codes", _symbol_codes(self.alphabet))
 
     @classmethod
@@ -90,7 +92,7 @@ class Machine:
         for state, read, nstate, write, move in rules:
             key = (state, read)
             if key in transitions:
-                raise ValueError(f"duplicate transition for {key!r}")
+                raise GodelsimError(f"duplicate transition for {key!r}")
             transitions[key] = (nstate, write, Move(move))
             states.update((state, nstate))
             alphabet.update((read, write))
@@ -215,7 +217,7 @@ def unary_id(machine: Machine, n: int, symbol: str = "1") -> ID:
     which a ``Runner`` reads in place instead of copying.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise GodelsimError("n must be >= 0")
     return ID(machine.start_state, 0, Tape(n, symbol, {}))
 
 
@@ -232,7 +234,7 @@ class LoopDetected:
 
     def __post_init__(self) -> None:
         if self.period < 1 or self.first_repeat_step < self.period:
-            raise ValueError("need period >= 1 and first_repeat_step >= period")
+            raise GodelsimError("need period >= 1 and first_repeat_step >= period")
 
 
 @dataclass(frozen=True)
@@ -475,7 +477,7 @@ class Runner:
         cell the head left.
         """
         if budget < 0:
-            raise ValueError("budget must be >= 0")
+            raise GodelsimError("budget must be >= 0")
         if on_step is not None:
             on_step(self)
         for _ in range(budget):
@@ -578,7 +580,7 @@ def unary_writer(value: int) -> Machine:
     Built straight from its states w0..w<value>, with one validation pass.
     """
     if value < 0:
-        raise ValueError("value must be >= 0")
+        raise GodelsimError("value must be >= 0")
     states = [f"w{j}" for j in range(value + 1)]
     transitions = {(state, BLANK): (after, "1", _RIGHT) for state, after in zip(states, states[1:])}
     alphabet = _UNARY_ALPHABET if value else frozenset((BLANK,))
@@ -668,4 +670,10 @@ def parse_machine_text(text: str) -> Machine:
 
 
 def load_machine_file(path: str | Path) -> Machine:
-    return parse_machine_text(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MachineParseError(f"not UTF-8 text: {exc.reason}", line) from exc
+    return parse_machine_text(text)

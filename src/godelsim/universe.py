@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from . import collapse
+from . import GodelsimError, collapse
 from .beta import BetaPair, fit_characteristic_beta
 from .collapse import HorizonMachine
 from .machine import (
@@ -30,15 +30,15 @@ from .machine import (
 )
 
 
-class UnknownParticleError(Exception):
+class UnknownParticleError(GodelsimError):
     """Queried particle id does not exist in the universe."""
 
 
-class ProviderError(Exception):
+class ProviderError(GodelsimError):
     """A uniform provider failed to produce a value."""
 
 
-class ConfigError(Exception):
+class ConfigError(GodelsimError):
     """A universe configuration file is malformed."""
 
 
@@ -65,7 +65,7 @@ class Registry:
     def register(self, name: str) -> int:
         """Number for ``name``, assigning the next ordinal on first sight."""
         if not name:
-            raise ValueError("name must be non-empty")
+            raise GodelsimError("name must be non-empty")
         existing = self._forward.get(name)
         if existing is not None:
             return existing
@@ -237,7 +237,7 @@ def signature_query(u: Universe, i: int, t: int, k: int) -> QueryResult:
     registered properties the particle carries no provider for.
     """
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise GodelsimError("t must be >= 0")
     particle = u.particle(i)
     if k not in u.registry:
         return VACUOUS
@@ -250,7 +250,7 @@ def signature_query(u: Universe, i: int, t: int, k: int) -> QueryResult:
 
 def signature_at(u: Universe, i: int, t: int) -> Signature:
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise GodelsimError("t must be >= 0")
     return particle_signature(u.particle(i), t)
 
 
@@ -265,7 +265,7 @@ def step_universe(u: Universe) -> Universe:
 def history(u: Universe, i: int, t: int) -> list[Signature]:
     """Signatures at interactions 0 .. t-1, oldest first; empty when t = 0."""
     if t < 0:
-        raise ValueError("t must be >= 0")
+        raise GodelsimError("t must be >= 0")
     particle = u.particle(i)
     return [particle_signature(particle, s) for s in range(t)]
 
@@ -322,9 +322,9 @@ def classify_predictability(values: Sequence[int], window: int) -> Predictabilit
     when fewer than ``window`` observations exist.
     """
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise GodelsimError("window must be >= 1")
     if len(values) == 0:
-        raise ValueError("values must be non-empty")
+        raise GodelsimError("values must be non-empty")
     if len(values) < window:
         return Undetermined(window)
     start = len(values) - window
@@ -374,7 +374,7 @@ def check_predestination_sufficient(u: Universe, horizon: int, bound: int) -> Pr
     refutation.
     """
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise GodelsimError("horizon must be >= 1")
     entries: list[FitEntry] = []
     for particle in u.particles:
         for k in sorted(particle.providers):
@@ -514,10 +514,12 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
             raise ConfigError(f"unknown uniform rule {rule_name!r} in {spec!r}")
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc.args[0]!r} in {spec!r}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {spec!r}: {exc}") from exc
     except (OSError, MachineParseError) as exc:
         raise ConfigError(f"machine file in {spec!r}: {exc}") from exc
+    except GodelsimError:
+        raise  # already says what is wrong; the next clause is for int() failures
+    except ValueError as exc:
+        raise ConfigError(f"bad number in {spec!r}: {exc}") from exc
     if params:
         raise ConfigError(f"unknown parameters {sorted(params)} in {spec!r}")
     return UniformProvider(rule)
@@ -530,33 +532,45 @@ def _config_int(path: Path, what: str, value) -> int:
         raise ConfigError(f"{path}: {what} must be an integer, got {value!r}") from exc
 
 
+_JSON_KINDS = {list: "a list", dict: "an object"}
+
+
+def _config_field(path: Path, data: dict, key: str, kind: type, where: str = ""):
+    """``data[key]``, empty when absent; a JSON list or object, as ``kind`` says."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: {key}{where} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def load_universe_config(path: str | Path) -> SimSetup:
     """Load a JSON universe description: registry entries, particles, horizon."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     registry = Registry()
-    for name in data.get("properties", []):
+    for name in _config_field(path, data, "properties", list):
         registry.register(str(name))
-    for name in data.get("values", []):
+    for name in _config_field(path, data, "values", list):
         registry.register(str(name))
     particles = []
-    for entry in data.get("particles", []):
+    for entry in _config_field(path, data, "particles", list):
         try:
             pid = int(entry["id"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: particle entry needs an integer id") from exc
         providers: dict[int, Provider] = {}
-        for prop_name, spec in entry.get("providers", {}).items():
+        where = f" of particle {pid}"
+        for prop_name, spec in _config_field(path, entry, "providers", dict, where).items():
             number = registry.number_of(str(prop_name))
             if number is None:
                 raise ConfigError(f"{path}: provider for unregistered property {prop_name!r}")
             providers[number] = parse_provider_spec(str(spec), path.parent)
-        for prop_name, declared in entry.get("initial", {}).items():
+        for prop_name, declared in _config_field(path, entry, "initial", dict, where).items():
             number = registry.number_of(str(prop_name))
             if number is None or number not in providers:
                 raise ConfigError(f"{path}: initial value for unprovided property {prop_name!r}")

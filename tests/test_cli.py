@@ -11,6 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godelsim import beta, cli
 from godelsim.machine import (
@@ -344,8 +346,12 @@ def test_beta_encode_past_the_int_digit_limit():
         ({"window": "x"}, "window"),
         ({"particles": [{"id": 1, "providers": {"p": "uniform:constant,value=1"},
                          "initial": {"p": "one"}}]}, "initial value for 'p'"),
+        ({"properties": 5}, "properties"),
+        ({"particles": [{"id": 1, "providers": {"p": "uniform:constant,value=1"},
+                         "initial": 5}]}, "initial"),
+        ({"particles": [{"id": 1, "providers": ["x"]}]}, "providers"),
     ],
-    ids=["steps", "window", "initial"],
+    ids=["steps", "window", "initial", "properties-shape", "initial-shape", "providers-shape"],
 )
 def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):
     path = tmp_path / "bad.json"
@@ -353,6 +359,170 @@ def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):
     code, out, err = invoke("universe", "sim", "--config", str(path))
     assert_one_line_error(code, out, err)
     assert name in err.splitlines()[0]
+
+
+def test_config_that_is_a_directory_is_a_clean_error(tmp_path):
+    code, out, err = invoke("universe", "sim", "--config", str(tmp_path))
+    assert_one_line_error(code, out, err)
+    assert str(tmp_path) in err.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "argv, env, parsed",
+    [
+        ((), None, False),
+        (("run",), None, False),
+        (("run", corpus_path("bb2.tm"), "--budget", "abc"), None, False),
+        (("--seed", "x", "corpus", "verify"), None, False),
+        (("corpus", "verify"), "xml", False),
+        (("collapse", "demo", "--k", "2", "--eval", "-3"), None, True),
+        (("--format", "csv", "dovetail", corpus_path("pingpong.tm") + "=zero-of",
+          "--global-budget", "50"), None, True),
+        (("--format", "csv", "dovetail", corpus_path("halt0.tm") + "=nonzero-of",
+          "--global-budget", "50"), None, True),
+    ],
+    ids=[
+        "no-command", "run-no-machine", "budget-not-a-number", "seed-not-a-number",
+        "gu-format-xml", "collapse-eval-negative", "dovetail-zero-of-without-1",
+        "dovetail-nonzero-of-without-1",
+    ],
+)
+def test_every_bad_input_takes_the_one_error_path(monkeypatch, argv, env, parsed):
+    # Usage errors used to exit 2 (the loop-detected code) with no manifest;
+    # the rest raised a traceback.
+    if env is None:
+        monkeypatch.delenv("GU_FORMAT", raising=False)
+    else:
+        monkeypatch.setenv("GU_FORMAT", env)
+    code, out, err = invoke(*argv)
+    assert_one_line_error(code, out, err)
+    manifest = json.loads(err.splitlines()[1])
+    if not parsed:
+        assert (manifest["subcommand"], manifest["seed"], manifest["inputs"]) == (None, None, "{}")
+
+
+def test_help_still_exits_zero_without_a_manifest():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+        cli.main(["run", "--help"])
+    assert info.value.code == 0
+    assert out.getvalue().startswith("usage: gu run") and err.getvalue() == ""
+
+
+# --- any argv: one exit code, one manifest, never a traceback ----------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Files a fuzzed argv may name: every shape of bad file next to the good ones."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "bad-json.json": "{",
+        "not-an-object.json": "[]",
+        "shapes.json": json.dumps({"properties": ["p"], "particles": [{"id": 1, "providers": ["x"]}]}),
+        "bad-spec.json": json.dumps(
+            {"properties": ["p"], "particles": [{"id": 1, "providers": {"p": "uniform:affine,a=x"}}]}
+        ),
+        "bad-steps.json": json.dumps({"steps": "x"}),
+        "bad.tm": "states: q0\nalphabet: _\nstart: q0\nq0 _ -> zz _ R\n",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "not-utf8.json").write_bytes(b"\xff\xfe{")
+    (root / "not-utf8.tm").write_bytes(b"states: q0\n\xff\n")
+    machines = [corpus_path(name) for name in ("bb2.tm", "pingpong.tm", "grow_right.tm", "halt0.tm")]
+    made = [str(root / name) for name in files] + [str(root / "not-utf8.json"), str(root / "not-utf8.tm")]
+    odd = [str(root / "missing.tm"), str(root), "", "x" * 5000]  # the last is too long a file name
+    return {
+        "machines": machines + made + odd,
+        "configs": ["uniform_pair", "mixed", "horizon_only", "constant_world", "nope"] + made + odd,
+    }
+
+
+SMALL = [str(n) for n in range(13)]
+JUNK = ["", "-1", "-0", "abc", "1.5", "0x10", "--nope"]
+HUGE = ["9" * 30, "-" + "9" * 30]
+
+
+def fuzz_argv(draw, paths):
+    """An argv over every subcommand and flag; about one in four runs to an outcome.
+
+    Every budget, bound, step count, range and ``beta encode`` value is at most 12,
+    so no call runs long; only flags whose cost does not grow with the value also
+    draw 30-digit tokens.
+    """
+
+    def number(big=False):
+        return draw(st.sampled_from(SMALL + JUNK + (HUGE if big else [])))
+
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["jsonl", "csv"] * 3 + ["xml", ""]))]
+    if draw(st.booleans()):
+        argv += ["--seed", number(big=True)]
+    command = draw(st.sampled_from(["run", "beta", "dovetail", "universe", "collapse", "corpus", "nope"]))
+    if command == "run":
+        argv += ["run", draw(st.sampled_from(paths["machines"]))]
+        spec = draw(st.sampled_from(["blank", "unary", "cells", "weird"]))
+        if spec == "unary":
+            spec = f"unary:{number()}"
+        elif spec == "cells":
+            cells = [f"{number()}={draw(st.sampled_from('_1x'))}" for _ in range(draw(st.integers(0, 2)))]
+            spec = "cells:" + ",".join(cells)
+        argv += ["--input", spec, "--budget", number()]
+        if draw(st.booleans()):
+            argv.append("--trace")
+    elif command == "beta":
+        sub = draw(st.sampled_from(["encode", "eval", "matches", "predict", "superpose", "nope"]))
+        argv += ["beta", sub]
+        seq = ",".join(number() for _ in range(draw(st.integers(0, 3))))
+        if sub == "encode":
+            argv.append(seq)
+        elif sub == "eval":
+            argv += [f"{number(big=True)},{number(big=True)}", number(big=True)]
+        elif sub in ("matches", "predict"):
+            argv += [seq, "--bound", number()]
+        elif sub == "superpose":
+            argv += [",".join(f"{number()}:{number()}" for _ in range(draw(st.integers(0, 3))))
+                     for _ in range(2)]
+    elif command == "dovetail":
+        argv.append("dovetail")
+        for _ in range(draw(st.integers(1, 2))):
+            predicate = draw(st.sampled_from(["zero-of", "nonzero-of"] * 3 + ["maybe", ""]))
+            argv.append(draw(st.sampled_from(paths["machines"])) + "=" + predicate)
+        argv += ["--sub-budget", number(big=True), "--global-budget", number()]
+    elif command == "universe":
+        argv += ["universe", "sim", "--config", draw(st.sampled_from(paths["configs"]))]
+        argv += ["--steps", number(), "--window", number(big=True)]
+    elif command == "collapse":
+        predicate = draw(st.sampled_from(["parity", "pi", "const=", "mod=", "nope"]))
+        if predicate.endswith("="):
+            predicate += number(big=predicate == "mod=")
+        argv += ["collapse", "demo", "--pred", predicate, "--k", number(big=True)]
+        if draw(st.booleans()):
+            argv += ["--measure", number(big=True)]
+        argv += ["--eval", draw(st.sampled_from([f"{number()}..{number()}", number()]))]
+    elif command == "corpus":
+        argv += ["corpus", "verify"]
+    else:
+        argv.append(command)
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    if argv and draw(st.integers(0, 19)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_any_argv_gives_one_exit_code_and_one_manifest(fuzz_paths, data):
+    argv = data.draw(st.composite(fuzz_argv)(fuzz_paths), label="argv")
+    code, _, err = invoke(*argv)
+    assert code in (0, 1, 2, 3)
+    lines = err.splitlines()
+    manifests = [line for line in lines if line.startswith('{"inputs"')]
+    assert len(manifests) == 1 and lines[-1] == manifests[0]
+    assert json.loads(manifests[0])["record"] == "manifest"
 
 
 # --- gu run --trace against records rebuilt from the library -------------------

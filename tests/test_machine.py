@@ -218,6 +218,14 @@ def test_parse_error_on_missing_headers():
         parse_machine_text("q0 _ -> q0 _ R\n")
 
 
+def test_machine_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "binary.tm"
+    path.write_bytes(b"states: q0\nalphabet: _\n\xff\n")
+    with pytest.raises(MachineParseError) as info:
+        load_machine_file(path)
+    assert info.value.line == 3
+
+
 def test_load_machine_file(tmp_path):
     path = tmp_path / "toy.tm"
     path.write_text(MACHINE_TEXT, encoding="utf-8")

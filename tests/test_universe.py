@@ -275,6 +275,27 @@ def test_parse_provider_specs():
         parse_provider_spec("magic:beans")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("uniform:affine,a=1,b=0,mod=0,start=0", "affine rule needs mod >= 1 in {spec!r}"),
+        ("uniform:bogus", "unknown uniform rule 'bogus' in {spec!r}"),
+        ("uniform:machine,file=bad.tm",
+         "machine file in {spec!r}: line 1, column 1: transition before states:/alphabet:/start: headers"),
+        ("uniform:constant,value=x", "bad number in {spec!r}: invalid literal for int() with base 10: 'x'"),
+        ("horizon:const=x", "invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["affine-mod-zero", "unknown-rule", "machine-parse-error", "bad-number", "horizon-const"],
+)
+def test_provider_spec_errors_keep_their_own_text(tmp_path, spec, message):
+    # Every library error is a ValueError, so an `except ValueError` meant for int()
+    # must not catch them and relabel them "bad number".
+    (tmp_path / "bad.tm").write_text("q0 _ -> q0 _ R\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        parse_provider_spec(spec, tmp_path)
+    assert str(info.value) == message.format(spec=spec)
+
+
 def test_load_universe_config(tmp_path):
     config = tmp_path / "world.json"
     config.write_text(
