@@ -100,20 +100,21 @@ def beta_encode(seq: Sequence[int]) -> BetaPair:
     """Constructively determine a pair realizing ``seq`` at indices 0..n.
 
     c is the factorial of max(n+1, max value), which makes the moduli
-    1 + (i+1)*c pairwise coprime; b is the least CRT solution.
+    1 + (i+1)*c pairwise coprime; b is the least CRT solution.  Each merge
+    checks this on the way: the product of the earlier moduli has an inverse
+    modulo the next one exactly when the next is coprime with each of them.
     """
     _check_sequence(seq)
     n = len(seq) - 1
     c = math.factorial(max(n + 1, max(seq)))
-    moduli = [1 + (i + 1) * c for i in range(n + 1)]
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[j]) != 1:
-                raise AssertionError("moduli are not pairwise coprime")
     b, modulus = 0, 1
-    for value, m in zip(seq, moduli):
+    for i, value in enumerate(seq):
+        m = 1 + (i + 1) * c
         # CRT merge of b = value (mod m) into the running solution.
-        inv = pow(modulus % m, -1, m)
+        try:
+            inv = pow(modulus % m, -1, m)
+        except ValueError:
+            raise AssertionError("moduli are not pairwise coprime") from None
         b = b + modulus * (((value - b) * inv) % m)
         modulus *= m
     return BetaPair(b % modulus, c)

@@ -255,14 +255,15 @@ def _resolve_config(name: str, stack: ExitStack) -> Path:
 
 # --- subcommands -------------------------------------------------------------
 
+# What a subcommand hands ``main``: exit status, manifest inputs, outcome summary.
+_Result = tuple[int, dict, str]
 
-def cmd_run(args: argparse.Namespace, emit: _Emitter) -> int:
+
+def cmd_run(args: argparse.Namespace, emit: _Emitter) -> _Result:
     try:
         machine = load_machine_file(args.machine)
     except MachineParseError as exc:
-        print(f"error: {args.machine}: {exc}", file=sys.stderr)
-        _manifest(args, {"machine": os.path.abspath(args.machine)}, "parse-error")
-        return EXIT_ERROR
+        raise CliError(f"{args.machine}: {exc}") from exc
     except OSError as exc:
         raise CliError(f"cannot read {args.machine}: {exc}") from exc
     start = _parse_input_spec(args.input, machine)
@@ -295,22 +296,16 @@ def cmd_run(args: argparse.Namespace, emit: _Emitter) -> int:
     else:
         emit({"record": "outcome", "kind": "budget-exceeded", "budget": outcome.budget})
         status, summary = EXIT_BUDGET, f"budget-exceeded budget={outcome.budget}"
-    emit.finish()
-    _manifest(
-        args,
-        {
-            "machine": os.path.abspath(args.machine),
-            "input": args.input,
-            "budget": args.budget,
-            "trace": args.trace,
-        },
-        summary,
-    )
-    return status
+    inputs = {
+        "machine": os.path.abspath(args.machine),
+        "input": args.input,
+        "budget": args.budget,
+        "trace": args.trace,
+    }
+    return status, inputs, summary
 
 
-def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
-    inputs: dict = {}
+def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> _Result:
     if args.beta_command == "encode":
         seq = _parse_naturals(args.sequence)
         pair = beta.beta_encode(seq)
@@ -358,26 +353,21 @@ def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> int:
             emit({"record": "entry", "tag": t, "value": v})
         inputs = {"first": args.first, "second": args.second}
         summary = f"{len(merged)} entries"
-    emit.finish()
-    _manifest(args, inputs, summary)
-    return EXIT_OK
+    return EXIT_OK, inputs, summary
 
 
-def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> int:
+def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> _Result:
     tasks = []
     resolved = []
     for index, spec in enumerate(args.task):
         path, _, predicate = spec.partition("=")
-        if predicate not in ("zero-of", "nonzero-of"):
+        accept = dovetail.ACCEPT.get(predicate)
+        if accept is None:
             raise CliError(f"task {spec!r} must end in =zero-of or =nonzero-of")
         try:
             machine = load_machine_file(path)
         except (MachineParseError, OSError) as exc:
             raise CliError(f"{path}: {exc}") from exc
-        if predicate == "zero-of":
-            accept = lambda halted: dovetail.unary_output(halted) == 0
-        else:
-            accept = lambda halted: dovetail.unary_output(halted) != 0
         tasks.append(
             dovetail.SearchTask(
                 index,
@@ -419,16 +409,11 @@ def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> int:
             {"record": "outcome", "kind": "global-budget-exceeded", "budget": outcome.global_budget}
         )
         summary = "global-budget-exceeded"
-    emit.finish()
-    _manifest(
-        args,
-        {"tasks": resolved, "sub_budget": args.sub_budget, "global_budget": args.global_budget},
-        summary,
-    )
-    return EXIT_OK
+    inputs = {"tasks": resolved, "sub_budget": args.sub_budget, "global_budget": args.global_budget}
+    return EXIT_OK, inputs, summary
 
 
-def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> int:
+def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
     with ExitStack() as stack:
         config_path = _resolve_config(args.config, stack)
         setup = universe.load_universe_config(config_path)
@@ -480,16 +465,11 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> int:
             "window": window,
         }
     )
-    emit.finish()
-    _manifest(
-        args,
-        {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window},
-        f"classification={report.classification.value}",
-    )
-    return EXIT_OK
+    inputs = {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window}
+    return EXIT_OK, inputs, f"classification={report.classification.value}"
 
 
-def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> int:
+def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> _Result:
     hm = collapse.make_horizon_machine(args.pred, args.k)
     measured = collapse.measure(hm, args.measure) if args.measure is not None else hm
     for n in _parse_range(args.eval):
@@ -511,16 +491,11 @@ def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> int:
             "history": " ".join(str(k) for k in measured.history),
         }
     )
-    emit.finish()
-    _manifest(
-        args,
-        {"pred": args.pred, "k": args.k, "measure": args.measure, "eval": args.eval},
-        f"horizon {hm.horizon} -> {measured.horizon}",
-    )
-    return EXIT_OK
+    inputs = {"pred": args.pred, "k": args.k, "measure": args.measure, "eval": args.eval}
+    return EXIT_OK, inputs, f"horizon {hm.horizon} -> {measured.horizon}"
 
 
-def cmd_corpus(args: argparse.Namespace, emit: _Emitter) -> int:
+def cmd_corpus(args: argparse.Namespace, emit: _Emitter) -> _Result:
     results = corpus.verify_corpus()
     for r in results:
         emit(
@@ -537,9 +512,8 @@ def cmd_corpus(args: argparse.Namespace, emit: _Emitter) -> int:
     emit(
         {"record": "summary", "passed": passed, "failed": len(results) - passed, "total": len(results)}
     )
-    emit.finish()
-    _manifest(args, {"machines": len(results)}, f"{passed}/{len(results)} passed")
-    return EXIT_OK if passed == len(results) else EXIT_ERROR
+    status = EXIT_OK if passed == len(results) else EXIT_ERROR
+    return status, {"machines": len(results)}, f"{passed}/{len(results)} passed"
 
 
 # --- parser ------------------------------------------------------------------
@@ -626,7 +600,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if digit_limit is not None:
             sys.set_int_max_str_digits(0)
         with closing(_Emitter(args.format, sys.stdout)) as emit:
-            return args.func(args, emit)
+            status, inputs, summary = args.func(args, emit)
+            emit.finish()
+        _manifest(args, inputs, summary)
+        return status
     except GodelsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _manifest(args, {}, f"error: {exc}")

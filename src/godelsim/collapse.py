@@ -15,18 +15,9 @@ from importlib import resources
 from typing import Callable, Union
 
 from . import GodelsimError
-from .machine import (
-    BudgetExceeded,
-    LoopDetected,
-    blank_id,
-    run_for_ones,
-    two_state_looper,
-    unary_writer,
-)
+from .machine import LoopDetected, run_value
 
 Predicate = Callable[[int], int]
-
-_LOOP_SLACK = 6
 
 
 def _pi_digits() -> str:
@@ -97,17 +88,7 @@ def evaluate(hm: HorizonMachine, n: int) -> int | LoopDetected:
     """Run the machine for input ``n``: a value below the horizon, a loop at or past it."""
     if n < 0:
         raise GodelsimError("n must be >= 0")
-    if n < hm.horizon:
-        value = hm.predicate(n)
-        machine = unary_writer(value)
-        budget = value + _LOOP_SLACK
-    else:
-        machine = two_state_looper()
-        budget = _LOOP_SLACK
-    result = run_for_ones(machine, blank_id(machine), budget)
-    if isinstance(result, BudgetExceeded):
-        raise AssertionError(f"horizon run neither halted nor looped: {result!r}")
-    return result
+    return run_value(hm.predicate(n) if n < hm.horizon else None)
 
 
 def measure(hm: HorizonMachine, n: int) -> HorizonMachine:

@@ -26,9 +26,8 @@ from .machine import (
     Runner,
     blank_id,
     count_symbols,
-    run_for_ones,
-    two_state_looper,
-    unary_writer,
+    run_value,
+    value_machine,
 )
 
 
@@ -249,30 +248,25 @@ TotalMuResult = Defined | Vacuous
 class MachineBackedFunction:
     """A total function on naturals realized point by point as machine runs.
 
-    The run for an argument tuple writes the function value in unary and
-    halts; tuples listed in ``diverging`` get a run that never halts but
-    self-terminates under loop detection instead.  ``slack`` pads the step
-    budget past the exact number of writes a halting run needs.
+    The run for an argument tuple is ``machine.value_machine`` of its value:
+    it writes the value of ``fn`` in unary and halts, or, for a tuple listed
+    in ``diverging``, never halts but is caught by loop detection at step 2.
     """
 
     fn: Callable[..., int]
     diverging: frozenset[tuple[int, ...]] = frozenset()
-    slack: int = 4
+
+    def value(self, *args: int) -> Optional[int]:
+        """``fn(*args)``, or None for a diverging tuple."""
+        return None if args in self.diverging else self.fn(*args)
 
     def subrun(self, *args: int) -> SubRun:
-        if tuple(args) in self.diverging:
-            machine = two_state_looper()
-        else:
-            machine = unary_writer(self.fn(*args))
+        machine = value_machine(self.value(*args))
         return SubRun(machine, blank_id(machine))
 
-    def evaluate(self, *args: int) -> int | LoopDetected | BudgetExceeded:
-        if tuple(args) in self.diverging:
-            budget = self.slack
-        else:
-            budget = self.fn(*args) + self.slack
-        sub = self.subrun(*args)
-        return run_for_ones(sub.machine, sub.input, budget)
+    def evaluate(self, *args: int) -> int | LoopDetected:
+        """Run the tuple's machine: the ones it leaves, or ``LoopDetected`` if it diverges."""
+        return run_value(self.value(*args))
 
 
 def unary_output(outcome: Halted) -> int:
@@ -283,10 +277,10 @@ def unary_output(outcome: Halted) -> int:
 def total_mu(g: MachineBackedFunction, args: Sequence[int], budget: int) -> TotalMuResult:
     """Total least-zero search: least y with g(args, y) = 0, else a vacuous result.
 
-    Trials run in increasing y.  A loop-detected evaluation before any zero
-    yields Vacuous(LOOP_DETECTED); exhausting ``budget`` trial indices (or a
-    sub-run's own step budget) yields Vacuous(BUDGET_EXCEEDED).  Always
-    returns.
+    Trials run in increasing y, each as a machine run (``g.evaluate``).  A
+    loop-detected evaluation before any zero yields Vacuous(LOOP_DETECTED);
+    ``budget`` trial indices without a zero yield Vacuous(BUDGET_EXCEEDED).
+    Every run reaches a verdict, so the search always returns.
     """
     if budget < 0:
         raise GodelsimError("budget must be >= 0")
@@ -294,28 +288,25 @@ def total_mu(g: MachineBackedFunction, args: Sequence[int], budget: int) -> Tota
         result = g.evaluate(*args, y)
         if isinstance(result, LoopDetected):
             return Vacuous(VacuousReason.LOOP_DETECTED)
-        if isinstance(result, BudgetExceeded):
-            return Vacuous(VacuousReason.BUDGET_EXCEEDED)
         if result == 0:
             return Defined(y)
     return Vacuous(VacuousReason.BUDGET_EXCEEDED)
 
 
+# The two acceptance tests on a halted trial, under the names ``gu dovetail`` takes.
+ACCEPT: dict[str, AcceptPredicate] = {
+    "zero-of": lambda halted: unary_output(halted) == 0,
+    "nonzero-of": lambda halted: unary_output(halted) != 0,
+}
+
+
 def make_t1(g: MachineBackedFunction, args: Sequence[int], task_id: int = 0) -> SearchTask:
     """Search task accepting exactly the trials where g evaluates to 0."""
     fixed = tuple(args)
-    return SearchTask(
-        task_id,
-        lambda y: g.subrun(*fixed, y),
-        lambda halted: unary_output(halted) == 0,
-    )
+    return SearchTask(task_id, lambda y: g.subrun(*fixed, y), ACCEPT["zero-of"])
 
 
 def make_t2(g: MachineBackedFunction, args: Sequence[int], task_id: int = 1) -> SearchTask:
     """Search task accepting exactly the trials where g evaluates to nonzero."""
     fixed = tuple(args)
-    return SearchTask(
-        task_id,
-        lambda y: g.subrun(*fixed, y),
-        lambda halted: unary_output(halted) != 0,
-    )
+    return SearchTask(task_id, lambda y: g.subrun(*fixed, y), ACCEPT["nonzero-of"])

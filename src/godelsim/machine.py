@@ -602,6 +602,22 @@ def two_state_looper() -> Machine:
     return _TWO_STATE_LOOPER
 
 
+def value_machine(value: Optional[int]) -> Machine:
+    """The machine that realizes ``value``: ``unary_writer(value)``, or the looper for None."""
+    return _TWO_STATE_LOOPER if value is None else unary_writer(value)
+
+
+def run_value(value: Optional[int]) -> int | LoopDetected:
+    """Run ``value_machine(value)`` from a blank tape under loop detection.
+
+    The budget follows from the value, so the run always reaches a verdict:
+    a writer halts after exactly ``value`` steps with ``value`` ones, and the
+    looper repeats its start at step 2 (``LoopDetected(2, 2)``).
+    """
+    machine = value_machine(value)
+    return run_for_ones(machine, blank_id(machine), 2 if value is None else value)
+
+
 _HEADER_RE = re.compile(r"^(states|alphabet|start)\s*:\s*(.*)$")
 _ARROW = "->"
 

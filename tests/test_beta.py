@@ -309,3 +309,20 @@ def test_prediction_memory_at_bench_scale():
         tracemalloc.stop()
     assert dist.total == 88_633
     assert peak < 4_000_000
+
+
+def test_encode_moduli_are_pairwise_coprime():
+    rng = random.Random(83)
+    for n in range(1, 41):
+        seq = [rng.randint(0, 45) for _ in range(n)]
+        pair = beta_encode(seq)
+        moduli = [1 + (i + 1) * pair.c for i in range(n)]
+        assert all(math.gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :])
+        assert [beta_eval(pair, i) for i in range(n)] == seq
+
+
+def test_encode_rejects_moduli_that_share_a_factor(monkeypatch):
+    # With c = 1 the moduli are 2, 3, 4: the third shares 2 with the first.
+    monkeypatch.setattr(math, "factorial", lambda n: 1)
+    with pytest.raises(AssertionError, match="moduli are not pairwise coprime"):
+        beta_encode([0, 0, 0])

@@ -77,7 +77,10 @@ def test_run_parse_error_reports_location(tmp_path):
     code, out, err = invoke("run", str(bad))
     assert code == 1
     assert out == ""
-    assert "line 4" in err and "column 9" in err
+    error, manifest = err.splitlines()
+    message = f"error: {bad}: line 4, column 9: unknown state 'zz'"
+    assert error == message
+    assert json.loads(manifest)["outcome_summary"] == message
 
 
 def test_beta_encode_record_matches_library():

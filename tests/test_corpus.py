@@ -1,12 +1,17 @@
 """The shipped corpus: manifest accuracy, loop soundness, and no false loops."""
 
+import pytest
+
 from godelsim.corpus import (
+    CorpusEntry,
     ExpectDiverge,
     ExpectHalt,
     ExpectLoop,
+    _confirm_loop,
     corpus_machine,
     load_manifest,
     verify_corpus,
+    verify_entry,
 )
 from godelsim.machine import (
     Halted,
@@ -74,3 +79,44 @@ def test_verify_corpus_all_green():
     assert all(result.passed for result in results), [
         (r.name, r.detail) for r in results if not r.passed
     ]
+
+
+@pytest.mark.parametrize(
+    "name, budget, expected, observed, detail",
+    [
+        ("bb2.tm", 200, ExpectHalt(7, 4), "Halted(steps=6,", "halted after 6 steps, manifest says 7"),
+        ("bb2.tm", 200, ExpectHalt(6, 5), "Halted(steps=6,", "final tape has 4 ones, manifest says 5"),
+        ("pingpong.tm", 100, ExpectHalt(2, 0), "LoopDetected(first_repeat_step=2, period=2)", "did not halt"),
+        ("grow_right.tm", 100, ExpectHalt(100, 100), "BudgetExceeded(budget=100)", "did not halt"),
+        ("pingpong.tm", 100, ExpectLoop(4, 2), "LoopDetected(first_repeat_step=2, period=2)",
+         "loop step/period differ from the manifest"),
+        ("pingpong.tm", 100, ExpectLoop(2, 1), "LoopDetected(first_repeat_step=2, period=2)",
+         "loop step/period differ from the manifest"),
+        ("write3.tm", 200, ExpectLoop(3, 3), "Halted(steps=3,", "no loop detected"),
+        ("bb2.tm", 200, ExpectDiverge(), "Halted(steps=6,", "expected the budget to run out"),
+        ("zigzag.tm", 100, ExpectDiverge(), "LoopDetected(first_repeat_step=4, period=4)",
+         "expected the budget to run out"),
+        # bb4 halts at step 107: past a budget of 50, within ten times it.
+        ("bb4.tm", 50, ExpectDiverge(), "BudgetExceeded(budget=50)", "plain simulation halted after 107 steps"),
+    ],
+    ids=[
+        "halt-steps", "halt-ones", "halt-of-looper", "halt-of-grower", "loop-step", "loop-period",
+        "loop-of-halter", "diverge-of-halter", "diverge-of-looper", "diverge-halts-later",
+    ],
+)
+def test_verifier_rejects_a_tampered_entry(name, budget, expected, observed, detail):
+    result = verify_entry(CorpusEntry(name, budget, expected))
+    assert result.passed is False
+    assert result.detail == detail
+    assert result.expected == repr(expected)
+    assert result.observed.startswith(observed)
+
+
+def test_loop_confirmation_rejects_made_up_verdicts():
+    write3 = corpus_machine("write3.tm")  # halts at step 3
+    assert _confirm_loop(write3, LoopDetected(6, 2), 100) == "halted before the reported repeat step"
+    pingpong = corpus_machine("pingpong.tm")  # repeats with period 2 only
+    assert _confirm_loop(pingpong, LoopDetected(3, 1), 100) == (
+        "configurations at the reported step and period do not match"
+    )
+    assert _confirm_loop(pingpong, LoopDetected(3, 2), 100) == ""

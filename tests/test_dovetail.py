@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from godelsim.dovetail import (
+    ACCEPT,
     AllExhausted,
     Defined,
     FirstSuccess,
@@ -23,7 +24,13 @@ from godelsim.dovetail import (
     total_mu,
     unary_output,
 )
-from godelsim.machine import blank_id, two_state_looper
+from godelsim.machine import (
+    LoopDetected,
+    blank_id,
+    run_with_loop_detection,
+    two_state_looper,
+    unary_writer,
+)
 
 from helpers import (
     brute_least_zero,
@@ -135,6 +142,40 @@ def test_machine_backed_evaluate_values_and_loops():
     assert g.evaluate(0, 0) == 0
     looped = g.evaluate(1, 1)
     assert not isinstance(looped, int)
+
+
+def test_machine_backed_value_subrun_and_evaluate_agree():
+    rng = random.Random(71)
+    for _ in range(200):
+        table = {(x, y): rng.randint(0, 6) for x in range(4) for y in range(4)}
+        diverging = frozenset(point for point in table if rng.random() < 0.25)
+        g = MachineBackedFunction(lambda x, y, t=table: t[x, y], diverging)
+        point = (rng.randrange(4), rng.randrange(4))
+        sub = g.subrun(*point)
+        assert sub.input == blank_id(sub.machine)
+        if point in diverging:
+            assert g.value(*point) is None
+            assert sub.machine is two_state_looper()
+            assert g.evaluate(*point) == LoopDetected(2, 2)
+        else:
+            assert g.value(*point) == table[point] == g.evaluate(*point)
+            assert sub.machine == unary_writer(table[point])
+
+
+def test_total_mu_calls_fn_once_per_trial():
+    calls = []
+    g = MachineBackedFunction(lambda y: calls.append(y) or 3 - y)
+    assert total_mu(g, (), 10) == Defined(3)
+    assert calls == [0, 1, 2, 3]
+
+
+def test_t1_t2_accept_with_the_shared_tests():
+    g = MachineBackedFunction(lambda y: y)
+    assert make_t1(g, ()).accept is ACCEPT["zero-of"]
+    assert make_t2(g, ()).accept is ACCEPT["nonzero-of"]
+    halted = [run_with_loop_detection(sub.machine, sub.input, 2) for sub in map(g.subrun, range(3))]
+    assert [ACCEPT["zero-of"](h) for h in halted] == [True, False, False]
+    assert [ACCEPT["nonzero-of"](h) for h in halted] == [False, True, True]
 
 
 def test_total_mu_arithmetic_example():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import godelsim.machine
+from godelsim import GodelsimError
 from godelsim.corpus import corpus_machine, verify_corpus
 from godelsim.machine import (
     BLANK,
@@ -27,11 +28,13 @@ from godelsim.machine import (
     load_machine_file,
     naive_run,
     parse_machine_text,
+    run_value,
     run_with_loop_detection,
     step,
     two_state_looper,
     unary_id,
     unary_writer,
+    value_machine,
 )
 from godelsim.dovetail import SearchTask, SubRun, dovetail, unary_output
 
@@ -508,3 +511,19 @@ def test_dovetail_over_unary_trials_costs_linear_allocation():
     # Trial y starts from y ones and halts at step 0; a set-up in O(y)
     # makes the sum quadratic in the budget (a ratio near 16).
     assert dovetail_allocation(8000) < 5 * dovetail_allocation(2000)
+
+
+def test_value_machine_realizes_a_value_or_a_divergence():
+    assert value_machine(None) is two_state_looper()
+    assert run_value(None) == LoopDetected(2, 2)
+    # Each budget run_value gives is exact: one step less runs the machine out.
+    looper = two_state_looper()
+    assert run_with_loop_detection(looper, blank_id(looper), 1) == BudgetExceeded(1)
+    for value in range(8):
+        machine = value_machine(value)
+        assert machine == unary_writer(value)
+        assert run_value(value) == value
+        if value:
+            assert run_with_loop_detection(machine, blank_id(machine), value - 1) == BudgetExceeded(value - 1)
+    with pytest.raises(GodelsimError, match="value must be >= 0"):
+        run_value(-1)

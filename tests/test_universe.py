@@ -1,6 +1,7 @@
 """Registry numbering, signature queries, world-line checks, and config loading."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from godelsim.universe import (
     HorizonProvider,
     Particle,
     Predictable,
+    ProviderError,
     Random,
     Registry,
     TableRule,
@@ -353,3 +355,39 @@ def test_repeated_queries_return_identical_results():
         for k in (numbers["alpha"], numbers["beta"], 0, 42):
             results = {signature_query(u, 1, t, k) for _ in range(3)}
             assert len(results) == 1
+
+
+# On t ones: "append" leaves t + 1 ones, "loop" halts on t = 0 and loops from
+# t = 1 on, "grow" halts on t = 0 and writes ones forever from t = 1 on.
+RULE_MACHINES = {
+    "append": "states: A H\nalphabet: _ 1\nstart: A\nA 1 -> A 1 R\nA _ -> H 1 R\n",
+    "loop": "states: A B\nalphabet: _ 1\nstart: A\nA 1 -> B 1 L\nB _ -> A _ R\n",
+    "grow": "states: A B\nalphabet: _ 1\nstart: A\nA 1 -> B 1 R\nB 1 -> B 1 R\nB _ -> B 1 R\n",
+}
+
+
+def test_machine_rule_answers_with_the_ones_its_run_leaves(tmp_path):
+    for name, text in RULE_MACHINES.items():
+        (tmp_path / f"{name}.tm").write_text(text, encoding="utf-8")
+    providers = {name: f"uniform:machine,file={name}.tm,budget=40" for name in RULE_MACHINES}
+    config = tmp_path / "machines.json"
+    config.write_text(
+        json.dumps(
+            {
+                "properties": list(RULE_MACHINES),
+                "particles": [
+                    {"id": 1, "providers": providers, "initial": {"append": 1, "loop": 0, "grow": 0}}
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    u = load_universe_config(config).universe
+    append, loop, grow = (u.registry.number_of(name) for name in RULE_MACHINES)
+    assert [signature_query(u, 1, t, append) for t in range(12)] == list(range(1, 13))
+    with pytest.raises(ProviderError) as info:
+        signature_query(u, 1, 1, loop)
+    assert str(info.value) == "machine rule looped at t=1; uniform rules must terminate"
+    with pytest.raises(ProviderError) as info:
+        signature_query(u, 1, 3, grow)
+    assert str(info.value) == "machine rule ran out of budget at t=3; uniform rules must terminate"
