@@ -19,6 +19,7 @@ from .machine import (
     Halted,
     LoopDetected,
     Machine,
+    RunOutcome,
     Runner,
     blank_id,
     canonicalize,
@@ -90,6 +91,14 @@ def corpus_machine(name: str) -> Machine:
     return parse_machine_text(_corpus_root().joinpath(name).read_text("utf-8"))
 
 
+def _plain_halt(machine: Machine, budget: int) -> str:
+    """Empty string when plain simulation runs ``NAIVE_CONFIRM_FACTOR`` budgets out, else the halt."""
+    confirm = naive_run(machine, blank_id(machine), budget * NAIVE_CONFIRM_FACTOR)
+    if isinstance(confirm, Halted):
+        return f"plain simulation halted after {confirm.steps} steps"
+    return ""
+
+
 def _confirm_loop(machine: Machine, verdict: LoopDetected, budget: int) -> str:
     """Empty string when plain simulation backs the loop verdict, else a reason."""
     replay = Runner(machine, blank_id(machine), detect_loops=False)
@@ -101,76 +110,55 @@ def _confirm_loop(machine: Machine, verdict: LoopDetected, budget: int) -> str:
         canon.append(canonicalize(replay.snapshot()))
     if canon[0] != canon[1]:
         return "configurations at the reported step and period do not match"
-    confirm = naive_run(machine, blank_id(machine), budget * NAIVE_CONFIRM_FACTOR)
-    if isinstance(confirm, Halted):
-        return f"plain simulation halted after {confirm.steps} steps"
-    return ""
+    return _plain_halt(machine, budget)
+
+
+def _mismatch(machine: Machine, entry: CorpusEntry, outcome: RunOutcome) -> str:
+    """Empty string when ``outcome`` is the manifest's and plain simulation backs it, else why not."""
+    expected = entry.expected
+    if isinstance(expected, ExpectHalt):
+        if not isinstance(outcome, Halted):
+            return "did not halt"
+        if outcome.steps != expected.steps:
+            return f"halted after {outcome.steps} steps, manifest says {expected.steps}"
+        ones = count_symbols(outcome.final_id)
+        if ones != expected.ones:
+            return f"final tape has {ones} ones, manifest says {expected.ones}"
+        confirm = naive_run(machine, blank_id(machine), entry.budget)
+        if not isinstance(confirm, Halted) or confirm.steps != outcome.steps:
+            return "plain simulation disagrees on the halt"
+        if confirm.final_id != outcome.final_id:
+            return "plain simulation disagrees on the final tape"
+        return ""
+    if isinstance(expected, ExpectLoop):
+        if not isinstance(outcome, LoopDetected):
+            return "no loop detected"
+        if (outcome.first_repeat_step, outcome.period) != (
+            expected.first_repeat_step,
+            expected.period,
+        ):
+            return "loop step/period differ from the manifest"
+        return _confirm_loop(machine, outcome, entry.budget)
+    if not isinstance(outcome, BudgetExceeded):
+        return "expected the budget to run out"
+    return _plain_halt(machine, entry.budget)
+
+
+def _short(outcome: RunOutcome) -> str:
+    """The outcome as ``gu corpus verify`` reports a confirmed one."""
+    if isinstance(outcome, Halted):
+        return f"Halted(steps={outcome.steps})"
+    if isinstance(outcome, LoopDetected):
+        return f"LoopDetected(step={outcome.first_repeat_step}, period={outcome.period})"
+    return f"BudgetExceeded({outcome.budget})"
 
 
 def verify_entry(entry: CorpusEntry) -> VerifyResult:
     machine = corpus_machine(entry.name)
     outcome = run_with_loop_detection(machine, blank_id(machine), entry.budget)
-    expected_desc = repr(entry.expected)
-    observed_desc = type(outcome).__name__
-
-    if isinstance(entry.expected, ExpectHalt):
-        if not isinstance(outcome, Halted):
-            return VerifyResult(entry.name, expected_desc, repr(outcome), False, "did not halt")
-        if outcome.steps != entry.expected.steps:
-            return VerifyResult(
-                entry.name, expected_desc, repr(outcome), False,
-                f"halted after {outcome.steps} steps, manifest says {entry.expected.steps}",
-            )
-        ones = count_symbols(outcome.final_id)
-        if ones != entry.expected.ones:
-            return VerifyResult(
-                entry.name, expected_desc, repr(outcome), False,
-                f"final tape has {ones} ones, manifest says {entry.expected.ones}",
-            )
-        confirm = naive_run(machine, blank_id(machine), entry.budget)
-        if not isinstance(confirm, Halted) or confirm.steps != outcome.steps:
-            return VerifyResult(
-                entry.name, expected_desc, repr(outcome), False,
-                "plain simulation disagrees on the halt",
-            )
-        if confirm.final_id != outcome.final_id:
-            return VerifyResult(
-                entry.name, expected_desc, repr(outcome), False,
-                "plain simulation disagrees on the final tape",
-            )
-        return VerifyResult(entry.name, expected_desc, f"Halted(steps={outcome.steps})", True, "")
-
-    if isinstance(entry.expected, ExpectLoop):
-        if not isinstance(outcome, LoopDetected):
-            return VerifyResult(entry.name, expected_desc, repr(outcome), False, "no loop detected")
-        if (outcome.first_repeat_step, outcome.period) != (
-            entry.expected.first_repeat_step,
-            entry.expected.period,
-        ):
-            return VerifyResult(
-                entry.name, expected_desc, repr(outcome), False,
-                "loop step/period differ from the manifest",
-            )
-        reason = _confirm_loop(machine, outcome, entry.budget)
-        if reason:
-            return VerifyResult(entry.name, expected_desc, repr(outcome), False, reason)
-        return VerifyResult(
-            entry.name, expected_desc,
-            f"LoopDetected(step={outcome.first_repeat_step}, period={outcome.period})", True, "",
-        )
-
-    if not isinstance(outcome, BudgetExceeded):
-        return VerifyResult(
-            entry.name, expected_desc, repr(outcome), False,
-            "expected the budget to run out",
-        )
-    confirm = naive_run(machine, blank_id(machine), entry.budget * NAIVE_CONFIRM_FACTOR)
-    if isinstance(confirm, Halted):
-        return VerifyResult(
-            entry.name, expected_desc, repr(outcome), False,
-            f"plain simulation halted after {confirm.steps} steps",
-        )
-    return VerifyResult(entry.name, expected_desc, f"BudgetExceeded({outcome.budget})", True, "")
+    detail = _mismatch(machine, entry, outcome)
+    observed = repr(outcome) if detail else _short(outcome)
+    return VerifyResult(entry.name, repr(entry.expected), observed, not detail, detail)
 
 
 def verify_corpus() -> list[VerifyResult]:

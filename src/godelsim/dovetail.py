@@ -116,7 +116,7 @@ class _TaskState:
         self.halted_rejected = 0
         self.loops_detected = 0
         self.sub_budget_exhausted = 0
-        self.exhausted_at: Optional[int] = None
+        self.exhausted = False
 
     def status(self) -> TaskStatus:
         return TaskStatus(
@@ -125,7 +125,7 @@ class _TaskState:
             self.halted_rejected,
             self.loops_detected,
             self.sub_budget_exhausted,
-            self.exhausted_at is not None,
+            self.exhausted,
         )
 
 
@@ -176,11 +176,11 @@ def dovetail(
         nonlocal exhausted
         # Cantor order hands each task its trials in increasing order, so
         # once a task has no trial at some index it has none at any later rank.
-        if state.exhausted_at is not None:
+        if state.exhausted:
             return
         sub = state.task.generator(trial)
         if sub is None:
-            state.exhausted_at = trial
+            state.exhausted = True
             exhausted += 1
             return
         state.trials_spawned += 1

@@ -100,21 +100,11 @@ class Machine:
 
 
 def _plain_cells(n: int, symbol: str, writes: dict[int, str]) -> dict[int, str]:
-    """The non-blank cells of ``symbol`` on 0..n-1 overlaid by ``writes``, as a plain dict.
-
-    Built with C-level dict operations; the result is ``writes`` itself
-    when there is no base run and no blank among the writes, so callers
-    must not mutate it.
-    """
-    if n:
-        cells = dict.fromkeys(range(n), symbol)
-        cells.update(writes)
-    else:
-        cells = writes
-    if BLANK in writes.values():
-        if cells is writes:
-            cells = dict(writes)
-        for cell in [cell for cell, sym in writes.items() if sym == BLANK]:
+    """The non-blank cells of ``symbol`` on 0..n-1 overlaid by ``writes``, as a new plain dict."""
+    cells = dict.fromkeys(range(n), symbol) if n else {}
+    cells.update(writes)
+    for cell, sym in writes.items():
+        if sym == BLANK:
             del cells[cell]
     return cells
 
@@ -129,6 +119,9 @@ class Tape(Mapping[int, str]):
     one cell or counting a symbol costs O(1) or O(writes); iterating
     builds the plain dict once, with C-level dict operations, and keeps it.
     The tape takes ownership of ``writes``: nobody may mutate it afterwards.
+    A ``Runner`` started on a tape reads its base in place for the whole
+    run, so its ``Halted.final_id`` is a tape over the same base whose
+    writes are the start's writes and the cells the run wrote.
     """
 
     __slots__ = ("n", "symbol", "writes", "_cells")
@@ -214,7 +207,8 @@ def unary_id(machine: Machine, n: int, symbol: str = "1") -> ID:
     """Starting configuration with ``n`` copies of ``symbol`` at cells 0..n-1.
 
     O(1) whatever ``n``: the tape is a read-only ``Tape`` over range(n),
-    which a ``Runner`` reads in place instead of copying.
+    which a ``Runner`` reads in place from start to verdict, keeping only
+    the cells it writes.
     """
     if n < 0:
         raise GodelsimError("n must be >= 0")
@@ -312,8 +306,8 @@ def _start_fingerprint(
     """sum(codes[sym] * r**(cell - head)) mod ``mod`` over the tape ``Tape(n, symbol, writes)``.
 
     The base run comes in closed form, codes[symbol] * (r**n - 1) / (r - 1)
-    (Karp & Rabin 1987), and the writes by Horner's rule from the rightmost,
-    each as its change to the base cell under it.
+    (Karp & Rabin 1987), and each write as its change over the base cell
+    under it, (codes[write] - codes[base]) * r**cell.
     """
     if not n and not writes:
         return 0
@@ -321,16 +315,9 @@ def _start_fingerprint(
     base_code = codes[symbol] if n else 0
     fp = 0
     if base_code:
-        run_sum = n if sum_inverse is None else (pow(r, n, mod) - 1) * sum_inverse
-        fp = base_code * run_sum % mod
-    acc, above = 0, None
-    for cell in sorted(writes, reverse=True):
-        if above is not None:
-            acc = acc * (r if above - cell == 1 else pow(r, above - cell, mod)) % mod
-        acc += codes[writes[cell]] - (base_code if 0 <= cell < n else 0)
-        above = cell
-    if above is not None:
-        fp += acc * pow(r, above, mod)
+        fp = base_code * (n if sum_inverse is None else (pow(r, n, mod) - 1) * sum_inverse)
+    for cell, sym in writes.items():
+        fp += (codes[sym] - (base_code if 0 <= cell < n else 0)) * pow(r, cell, mod)
     return fp * pow(r, -head, mod) % mod
 
 
@@ -339,15 +326,14 @@ class Runner:
 
     A run costs what it steps, not what its start tape holds.  A ``Tape``
     start (as ``unary_id`` gives, or a ``Halted.final_id``) is read in place
-    as a read-only base run; the run keeps the cells it writes, and the
-    base cells it has read, in a dict of its own, where a blank written
-    stays as a blank.  Any other start mapping is copied into that dict.
-    A read that misses the dict falls back to the base run, which is
-    dropped once every base cell is in the dict; a run with no base pays
-    one ``is None`` test per step for this.  So set-up
-    costs O(writes of the start), a step O(1), and an immutable ``ID`` is
-    built only on request: ``snapshot`` copies the dict, and ``Halted``
-    wraps it without a copy, as no step changes a halted run.
+    as a read-only base run for the whole run; the run keeps exactly the
+    cells it writes in a dict of its own, where a blank written stays as a
+    blank.  Any other start mapping is copied into that dict.  A read that
+    misses the dict falls back to the base run; a run with no base pays
+    one ``is None`` test per step for this.  So set-up costs O(writes of
+    the start), a step O(1), and an immutable ``ID`` is built only on
+    request: ``snapshot`` copies the dict, and ``Halted`` wraps it without
+    a copy, as no step changes a halted run.
 
     With ``detect_loops`` each visited configuration is keyed by its state
     and the fingerprint sum(code(sym) * r**(cell - head)) mod p, with symbol
@@ -364,7 +350,7 @@ class Runner:
 
     __slots__ = (
         "machine", "transitions", "start", "state", "head", "tape",
-        "base_len", "base_symbol", "unread", "miss",
+        "base_len", "base_symbol", "miss",
         "steps", "seen", "exact", "codes", "fp", "mod", "left", "right",
     )
 
@@ -380,18 +366,16 @@ class Runner:
         else:
             n, self.base_symbol = 0, BLANK
             self.tape = dict(start.tape)
-        # Base cells not in the dict yet: once none is left, the run drops its base.
-        self.unread = n - sum(1 for cell in self.tape if 0 <= cell < n) if n and self.tape else n
-        self.base_len = n if self.unread else 0
+        self.base_len = n
         # What a read that misses the dict gives: None sends it on to the base run.
-        self.miss = None if self.unread else BLANK
+        self.miss = None if n else BLANK
         self.steps = 0
         self.seen: Optional[dict[str, dict[int, int]]] = None
         if not detect_loops:
             return
         codes = machine.codes
         symbols = set(self.tape.values())
-        if self.base_len:
+        if n:
             symbols.add(self.base_symbol)
         if not machine.alphabet.issuperset(symbols):
             # Foreign symbols of the start tape get codes too; reading one still raises.
@@ -400,9 +384,7 @@ class Runner:
         self.mod = mod = _FINGERPRINT_MODULUS
         # A move to the left raises every exponent cell - head by one, a move right lowers it.
         self.left, self.right, _ = _fingerprint_factors(mod)
-        self.fp = _start_fingerprint(
-            self.base_len, self.base_symbol, self.tape, self.head, codes, mod
-        )
+        self.fp = _start_fingerprint(n, self.base_symbol, self.tape, self.head, codes, mod)
         self.seen = {self.state: {self.fp: 0}}
         # (state, fingerprint) -> {canonical key of a configuration: step}, for hit keys.
         self.exact: dict[tuple[str, int], dict[tuple, int]] = {}
@@ -421,15 +403,7 @@ class Runner:
         tape, head = self.tape, self.head
         old = tape.get(head, self.miss)
         if old is None:
-            if 0 <= head < self.base_len:
-                # First read of a base cell: kept, so that the next read hits.
-                old = tape[head] = self.base_symbol
-                self.unread -= 1
-                if not self.unread:
-                    # Every base cell is in the dict now: the run drops its base.
-                    self.base_len, self.miss = 0, BLANK
-            else:
-                old = BLANK
+            old = self.base_symbol if 0 <= head < self.base_len else BLANK
         rule = self.transitions.get((self.state, old))
         if rule is None:
             return self._halt(old)

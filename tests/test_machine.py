@@ -472,6 +472,46 @@ def test_base_cells_erased_and_rewritten():
     assert unary_id(machine, 4, BLANK).tape == {}
 
 
+def test_a_run_keeps_only_the_cells_it_writes():
+    # Reading a base cell and writing back what it holds leaves no trace.
+    machine = Machine.from_rules([("a", "1", "a", "1", "R")], "a")
+    for run in (run_with_loop_detection, naive_run):
+        outcome = run(machine, unary_id(machine, 50), 100)
+        assert outcome.steps == 50
+        assert outcome.final_id.tape.writes == {}
+        assert count_symbols(outcome.final_id) == 50
+    # Erasing every other cell keeps just those cells, blanks included.
+    machine = Machine.from_rules([("a", "1", "b", BLANK, "R"), ("b", "1", "a", "1", "R")], "a")
+    outcome = run_with_loop_detection(machine, unary_id(machine, 50), 100)
+    assert outcome.final_id.tape.writes == dict.fromkeys(range(0, 50, 2), BLANK)
+    assert count_symbols(outcome.final_id) == 25
+
+
+@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+def test_start_fingerprint_matches_a_brute_force_sum(monkeypatch, modulus):
+    # At modulus 3 the base r is 1, so the base run sums to codes[symbol] * n.
+    monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
+    machine = Machine.from_rules([], "a", extra_symbols=("0", "1", "x"))
+    codes = machine.codes
+    r = godelsim.machine._FINGERPRINT_BASE % modulus
+    rng = random.Random(137)
+    for _ in range(2000):
+        n, symbol = rng.randint(0, 40), rng.choice(("1", "0", "x"))
+        writes = {
+            rng.randint(-10, 50): rng.choice(("1", "0", "x", BLANK))
+            for _ in range(rng.choice((0, 0, 1, 3, 10)))
+        }
+        head = rng.randint(-60, 100)
+        cells = {**dict.fromkeys(range(n), symbol), **writes}
+        expected = sum(codes[sym] * pow(r, cell - head, modulus) for cell, sym in cells.items())
+        expected %= modulus
+        tape = Tape(n, symbol, dict(writes))
+        fp = godelsim.machine._start_fingerprint(n, symbol, writes, head, codes, modulus)
+        assert fp == expected
+        assert Runner(machine, ID("a", head, tape)).fp == expected
+        assert Runner(machine, ID("a", head, cells)).fp == expected
+
+
 def test_trial_machines_are_built_as_before():
     for value in range(6):
         rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
