@@ -104,9 +104,8 @@ def _confirm_loop(machine: Machine, verdict: LoopDetected, budget: int) -> str:
     replay = Runner(machine, blank_id(machine), detect_loops=False)
     canon = []
     for target in (verdict.first_repeat_step - verdict.period, verdict.first_repeat_step):
-        while replay.steps < target:
-            if replay.advance() is not None:
-                return "halted before the reported repeat step"
+        if replay._steps(target - replay.steps) is not None:
+            return "halted before the reported repeat step"
         canon.append(canonicalize(replay.snapshot()))
     if canon[0] != canon[1]:
         return "configurations at the reported step and period do not match"

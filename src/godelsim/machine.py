@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from . import GodelsimError
 
@@ -42,6 +42,38 @@ class MachineParseError(MachineError):
         self.column = column
 
 
+# Every compile compares a move with this; on Python 3.11 the attribute
+# lookup ``Move.RIGHT`` costs about ten times a module-global lookup.
+_RIGHT = Move.RIGHT
+
+# The fields of a ``Machine``'s compiled form, in the order ``compiled`` gives them.
+_COMPILED = ("state_names", "symbol_names", "rows", "codes", "table")
+
+
+def _compile(
+    state_names: list[str], symbol_names: list[str], transitions: Mapping[tuple[str, str], tuple[str, str, Move]]
+) -> tuple[dict[str, int], dict[str, int], list[Optional[tuple[int, int, int]]]]:
+    """Validate ``transitions`` over the decode lists and compile them: (rows, codes, table).
+
+    See ``Machine``; a row or code that no rule reads has ``None`` entries.
+    """
+    width = len(symbol_names)
+    rows = {state: index * width for index, state in enumerate(state_names)}
+    codes = {sym: code for code, sym in enumerate(symbol_names)}
+    table: list[Optional[tuple[int, int, int]]] = [None] * (len(state_names) * width)
+    for (state, sym), (nstate, nsym, move) in transitions.items():
+        row, nrow = rows.get(state), rows.get(nstate)
+        if row is None or nrow is None:
+            raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown state")
+        code, ncode = codes.get(sym), codes.get(nsym)
+        if code is None or ncode is None:
+            raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown symbol")
+        if not isinstance(move, Move):
+            raise GodelsimError("move must be a Move")
+        table[row + code] = (nrow, ncode, 1 if move is _RIGHT else -1)
+    return rows, codes, table
+
+
 @dataclass(frozen=True)
 class Machine:
     """A deterministic Turing machine over string states and symbols.
@@ -49,28 +81,40 @@ class Machine:
     ``transitions`` maps (state, read symbol) to (next state, write
     symbol, move).  Determinism is structural: a dict admits one entry
     per key.  The blank symbol is always part of the alphabet.
+
+    Construction validates the rules and compiles them, once, into the
+    integer form a ``Runner`` steps: ``symbol_names`` (blank = 0, then the
+    sorted alphabet) and ``state_names`` (sorted) are the decode lists,
+    ``codes`` and ``rows`` their inverses, and ``table[row + code]`` is the
+    rule for the state whose row offset is ``row`` reading the symbol
+    ``code``: ``(next row, write code, +1 | -1)``, or ``None`` where the
+    machine halts.  A state's row offset is its index times the number of
+    symbols.  ``compiled`` hands in that form ready-made (as
+    ``unary_writer`` does), and is then trusted as it is.
     """
 
     states: frozenset[str]
     alphabet: frozenset[str]
     transitions: Mapping[tuple[str, str], tuple[str, str, Move]]
     start_state: str
-    # Fingerprint code of each symbol (see ``Runner``), compiled once per machine.
+    compiled: InitVar[Optional[tuple]] = None
+    state_names: list[str] = field(init=False, repr=False, compare=False)
+    symbol_names: list[str] = field(init=False, repr=False, compare=False)
+    rows: dict[str, int] = field(init=False, repr=False, compare=False)
     codes: dict[str, int] = field(init=False, repr=False, compare=False)
+    table: list[Optional[tuple[int, int, int]]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if BLANK not in self.alphabet:
-            raise GodelsimError("alphabet must contain the blank symbol")
-        if self.start_state not in self.states:
-            raise GodelsimError(f"start state {self.start_state!r} not in states")
-        for (state, sym), (nstate, nsym, move) in self.transitions.items():
-            if state not in self.states or nstate not in self.states:
-                raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown state")
-            if sym not in self.alphabet or nsym not in self.alphabet:
-                raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown symbol")
-            if not isinstance(move, Move):
-                raise GodelsimError("move must be a Move")
-        object.__setattr__(self, "codes", _symbol_codes(self.alphabet))
+    def __post_init__(self, compiled: Optional[tuple]) -> None:
+        if compiled is None:
+            if BLANK not in self.alphabet:
+                raise GodelsimError("alphabet must contain the blank symbol")
+            if self.start_state not in self.states:
+                raise GodelsimError(f"start state {self.start_state!r} not in states")
+            state_names = sorted(self.states)
+            symbol_names = [BLANK, *sorted(self.alphabet - {BLANK})]
+            compiled = (state_names, symbol_names, *_compile(state_names, symbol_names, self.transitions))
+        # A frozen dataclass sets its fields through __dict__.
+        self.__dict__.update(zip(_COMPILED, compiled))
 
     @classmethod
     def from_rules(
@@ -99,12 +143,15 @@ class Machine:
         return cls(frozenset(states), frozenset(alphabet), transitions, start_state)
 
 
-def _plain_cells(n: int, symbol: str, writes: dict[int, str]) -> dict[int, str]:
-    """The non-blank cells of ``symbol`` on 0..n-1 overlaid by ``writes``, as a new plain dict."""
+def _plain_cells(n: int, symbol: Hashable, writes: dict, blank: Hashable = BLANK) -> dict:
+    """The non-``blank`` cells of ``symbol`` on 0..n-1 overlaid by ``writes``, as a new plain dict.
+
+    The symbols may be strings, or a ``Runner``'s codes with blank 0.
+    """
     cells = dict.fromkeys(range(n), symbol) if n else {}
     cells.update(writes)
     for cell, sym in writes.items():
-        if sym == BLANK:
+        if sym == blank:
             del cells[cell]
     return cells
 
@@ -273,10 +320,6 @@ def encode_id(desc: ID) -> bytes:
     return repr((desc.state, desc.head, cells)).encode("utf-8")
 
 
-# Every step compares its move with this; on Python 3.11 the attribute
-# lookup ``Move.RIGHT`` costs about ten times a module-global lookup.
-_RIGHT = Move.RIGHT
-
 # Karp–Rabin fingerprints of the tape relative to the head: modulus the
 # Mersenne prime 2**61 - 1, base fixed so keys are the same on every run.
 _FINGERPRINT_MODULUS = (1 << 61) - 1
@@ -292,12 +335,6 @@ def _fingerprint_factors(mod: int) -> tuple[int, int, Optional[int]]:
     """
     base = _FINGERPRINT_BASE % mod
     return base, pow(base, -1, mod), None if base == 1 else pow(base - 1, -1, mod)
-
-
-def _symbol_codes(symbols: Iterable[str]) -> dict[str, int]:
-    """Blank = 0, the other symbols 1, 2, ... in sorted order."""
-    ordered = sorted(set(symbols) - {BLANK})
-    return {BLANK: 0, **{sym: code for code, sym in enumerate(ordered, 1)}}
 
 
 def _start_fingerprint(
@@ -321,8 +358,29 @@ def _start_fingerprint(
     return fp * pow(r, -head, mod) % mod
 
 
+def _widened(machine: Machine, state: str, symbols: Iterable[str]) -> Machine:
+    """``machine`` compiled with ``state`` and ``symbols`` added where it lacks them.
+
+    The new row and codes come after its own and have no rule, so a run
+    that reads one halts there, and ``Runner._halt`` raises.
+    """
+    state_names = machine.state_names if state in machine.rows else [*machine.state_names, state]
+    symbol_names = [*machine.symbol_names, *sorted(set(symbols) - machine.alphabet)]
+    compiled = (state_names, symbol_names, *_compile(state_names, symbol_names, machine.transitions))
+    return Machine(frozenset(state_names), frozenset(symbol_names), machine.transitions, state, compiled)
+
+
 class Runner:
-    """One run of ``machine`` from ``start``, advanced in place one step at a time.
+    """One run of ``machine`` from ``start``, advanced in place.
+
+    The run steps the machine's compiled table (see ``Machine``): it keeps
+    the current state as its row offset and the tape as symbol codes, so a
+    step is one dict read, one list index and, when the symbol changes,
+    one dict write.  Strings are decoded only at the edges: ``state``,
+    ``symbol_at``, ``snapshot`` and ``Halted``.  A start state or tape
+    symbol the machine lacks gets a row or code of its own with no rule
+    (in a table widened for this run), so reading it raises
+    ``MalformedIDError`` at the step that reads it, as it would halt there.
 
     A run costs what it steps, not what its start tape holds.  A ``Tape``
     start (as ``unary_id`` gives, or a ``Halted.final_id``) is read in place
@@ -332,66 +390,79 @@ class Runner:
     misses the dict falls back to the base run; a run with no base pays
     one ``is None`` test per step for this.  So set-up costs O(writes of
     the start), a step O(1), and an immutable ``ID`` is built only on
-    request: ``snapshot`` copies the dict, and ``Halted`` wraps it without
-    a copy, as no step changes a halted run.
+    request, by decoding the writes.
 
-    With ``detect_loops`` each visited configuration is keyed by its state
-    and the fingerprint sum(code(sym) * r**(cell - head)) mod p, with symbol
-    codes taken from the sorted alphabet (blank = 0), compiled once per
-    machine; a start tape holding a foreign symbol gets a table of its own.
-    The start's fingerprint sums the base run in closed form.  Being
-    relative to the head, the fingerprint follows a write or a one-cell
-    move in O(1), and translates share a key, as they share a form under
-    ``canonicalize``.  A key hit is only a candidate: the earlier
-    configuration is rebuilt by replaying from ``start`` and compared
-    exactly after ``canonicalize``, so a collision costs time but never
-    changes a verdict.
+    ``run`` without a step hook takes its steps in one batched loop over
+    local variables (``_steps``); ``advance`` takes one step, for callers
+    that interleave runs or watch each step.
+
+    With ``detect_loops`` each visited configuration is keyed by one int,
+    ``fp * len(table) + row``, where fp is the fingerprint
+    sum(code(sym) * r**(cell - head)) mod p; as fp < p the key is
+    injective in (fp, row).  The start's fingerprint sums the base run in
+    closed form.  Being relative to the head, the fingerprint follows a
+    write or a one-cell move in O(1), and translates share a key, as they
+    share a form under ``canonicalize``.  r and p are read when the runner
+    is built.  A key hit is only a candidate: the earlier configuration is
+    rebuilt by replaying from ``start`` and compared exactly after
+    ``canonicalize``, so a collision costs time but never changes a verdict.
     """
 
     __slots__ = (
-        "machine", "transitions", "start", "state", "head", "tape",
-        "base_len", "base_symbol", "miss",
-        "steps", "seen", "exact", "codes", "fp", "mod", "left", "right",
+        "machine", "compiled", "table", "start", "row", "head", "tape",
+        "base_len", "base_symbol", "base_code", "miss",
+        "steps", "seen", "exact", "fp", "mod", "factors", "size",
     )
 
     def __init__(self, machine: Machine, start: ID, detect_loops: bool = True):
         self.machine = machine
-        self.transitions = machine.transitions
         self.start = start
-        self.state = start.state
-        self.head = start.head
+        self.head = head = start.head
         if type(start.tape) is Tape:
-            n, self.base_symbol = start.tape.n, start.tape.symbol
-            self.tape = dict(start.tape.writes)
+            n, symbol, writes = start.tape.n, start.tape.symbol, start.tape.writes
         else:
-            n, self.base_symbol = 0, BLANK
-            self.tape = dict(start.tape)
-        self.base_len = n
+            n, symbol, writes = 0, BLANK, start.tape
+        compiled = machine
+        try:
+            codes = compiled.codes
+            row, base_code = compiled.rows[start.state], codes[symbol] if n else 0
+            self.tape = {cell: codes[sym] for cell, sym in writes.items()} if writes else {}
+        except KeyError:
+            compiled = _widened(machine, start.state, [*writes.values(), symbol] if n else writes.values())
+            codes = compiled.codes
+            row, base_code = compiled.rows[start.state], codes[symbol] if n else 0
+            self.tape = {cell: codes[sym] for cell, sym in writes.items()}
+        self.compiled, self.table, self.row = compiled, compiled.table, row
+        self.base_len, self.base_symbol, self.base_code = n, symbol, base_code
         # What a read that misses the dict gives: None sends it on to the base run.
-        self.miss = None if n else BLANK
+        self.miss = None if n else 0
         self.steps = 0
-        self.seen: Optional[dict[str, dict[int, int]]] = None
+        self.seen: Optional[dict[int, int]] = None
+        self.fp = 0
         if not detect_loops:
             return
-        codes = machine.codes
-        symbols = set(self.tape.values())
-        if n:
-            symbols.add(self.base_symbol)
-        if not machine.alphabet.issuperset(symbols):
-            # Foreign symbols of the start tape get codes too; reading one still raises.
-            codes = _symbol_codes(machine.alphabet | symbols)
-        self.codes = codes
         self.mod = mod = _FINGERPRINT_MODULUS
-        # A move to the left raises every exponent cell - head by one, a move right lowers it.
-        self.left, self.right, _ = _fingerprint_factors(mod)
-        self.fp = _start_fingerprint(n, self.base_symbol, self.tape, self.head, codes, mod)
-        self.seen = {self.state: {self.fp: 0}}
-        # (state, fingerprint) -> {canonical key of a configuration: step}, for hit keys.
-        self.exact: dict[tuple[str, int], dict[tuple, int]] = {}
+        # Indexed by the move: a move left (-1) raises every exponent cell - head
+        # by one, so it multiplies by r, and a move right (+1) lowers it.
+        left, right, _ = _fingerprint_factors(mod)
+        self.factors = (None, right, left)
+        self.size = len(compiled.table)
+        self.fp = _start_fingerprint(n, symbol, writes, head, codes, mod)
+        self.seen = {self.fp * self.size + row: 0}
+        # Key -> {canonical key of a configuration: step}, for hit keys.
+        self.exact: dict[int, dict[tuple, int]] = {}
+
+    @property
+    def state(self) -> str:
+        """The current state."""
+        compiled = self.compiled
+        return compiled.state_names[self.row // len(compiled.symbol_names)]
 
     def snapshot(self) -> ID:
-        """The current configuration as an immutable ``ID`` (the writes are copied)."""
-        return ID(self.state, self.head, Tape(self.base_len, self.base_symbol, dict(self.tape)))
+        """The current configuration as an immutable ``ID`` (the writes are decoded into a new dict)."""
+        names = self.compiled.symbol_names
+        writes = {cell: names[code] for cell, code in self.tape.items()}
+        return ID(self.state, self.head, Tape(self.base_len, self.base_symbol, writes))
 
     def advance(self) -> Optional[Halted | LoopDetected]:
         """Take one step.
@@ -403,43 +474,80 @@ class Runner:
         tape, head = self.tape, self.head
         old = tape.get(head, self.miss)
         if old is None:
-            old = self.base_symbol if 0 <= head < self.base_len else BLANK
-        rule = self.transitions.get((self.state, old))
+            old = self.base_code if 0 <= head < self.base_len else 0
+        rule = self.table[self.row + old]
         if rule is None:
             return self._halt(old)
-        state, new, move = rule
+        self.row, new, move = rule
         if new != old:
             tape[head] = new
-        self.state = state
-        self.steps += 1
-        right = move is _RIGHT
-        self.head = head + 1 if right else head - 1
+        self.head = head + move
+        self.steps = steps = self.steps + 1
         seen = self.seen
         if seen is None:
             return None
-        fp = self.fp + self.codes[new] - self.codes[old]
-        self.fp = fp = fp * (self.right if right else self.left) % self.mod
-        by_fp = seen.get(state)
-        if by_fp is None:
-            by_fp = seen[state] = {}
-        first = by_fp.setdefault(fp, self.steps)
-        if first == self.steps:
+        self.fp = fp = (self.fp + new - old) * self.factors[move] % self.mod
+        key = fp * self.size + self.row
+        first = seen.setdefault(key, steps)
+        if first == steps:
             return None
-        return self._confirm((state, fp), first)
+        return self._confirm(key, first)
+
+    def _steps(self, k: int) -> Optional[Halted | LoopDetected]:
+        """Take up to ``k`` steps: the first outcome, or ``None`` after ``k`` steps without one.
+
+        ``advance`` in one loop over local variables, written back to the
+        run at an outcome, at a key hit (which ``_confirm`` decides against
+        the run as it stands) and at the end.
+        """
+        table, tape, miss, seen = self.table, self.tape, self.miss, self.seen
+        base_len, base_code = self.base_len, self.base_code
+        factors, mod, size = (self.factors, self.mod, self.size) if seen is not None else (None, None, None)
+        row, head, steps, fp = self.row, self.head, self.steps, self.fp
+        end = steps + k
+        while steps < end:
+            old = tape.get(head, miss)
+            if old is None:
+                old = base_code if 0 <= head < base_len else 0
+            rule = table[row + old]
+            if rule is None:
+                self.row, self.head, self.steps, self.fp = row, head, steps, fp
+                return self._halt(old)
+            row, new, move = rule
+            if new != old:
+                tape[head] = new
+            head += move
+            steps += 1
+            if seen is None:
+                continue
+            fp = (fp + new - old) * factors[move] % mod
+            key = fp * size + row
+            first = seen.setdefault(key, steps)
+            if first != steps:
+                self.row, self.head, self.steps, self.fp = row, head, steps, fp
+                outcome = self._confirm(key, first)
+                if outcome is not None:
+                    return outcome
+        self.row, self.head, self.steps, self.fp = row, head, steps, fp
+        return None
+
+    def _code_at(self, cell: int) -> int:
+        """The code of the symbol on ``cell`` now."""
+        code = self.tape.get(cell, self.miss)
+        if code is None:
+            code = self.base_code if 0 <= cell < self.base_len else 0
+        return code
 
     def symbol_at(self, cell: int) -> str:
         """The symbol on ``cell`` now (a blank cell reads ``BLANK``), without changing the run."""
-        sym = self.tape.get(cell, self.miss)
-        if sym is None:
-            sym = self.base_symbol if 0 <= cell < self.base_len else BLANK
-        return sym
+        return self.compiled.symbol_names[self._code_at(cell)]
 
     def halted(self) -> Optional[Halted]:
         """``Halted`` if no rule applies to the current configuration, else ``None``."""
-        sym = self.symbol_at(self.head)
-        if (self.state, sym) in self.transitions:
+        code = self._code_at(self.head)
+        if self.table[self.row + code] is not None:
             return None
-        return self._halt(sym)
+        return self._halt(code)
 
     def run(
         self, budget: int, on_step: Optional[Callable[["Runner"], None]] = None
@@ -448,51 +556,51 @@ class Runner:
 
         ``on_step(self)`` is called at the start and after every step taken,
         the one that detects a loop included; a step changes at most the
-        cell the head left.
+        cell the head left.  Without it the steps are batched.
         """
         if budget < 0:
             raise GodelsimError("budget must be >= 0")
-        if on_step is not None:
-            on_step(self)
+        if on_step is None:
+            return self._steps(budget) or self.halted() or BudgetExceeded(budget)
+        on_step(self)
         for _ in range(budget):
             outcome = self.advance()
             if isinstance(outcome, Halted):
                 return outcome
-            if on_step is not None:
-                on_step(self)
+            on_step(self)
             if outcome is not None:
                 return outcome
         return self.halted() or BudgetExceeded(budget)
 
-    def _halt(self, sym: str) -> Halted:
-        """The run's ``Halted``; its ``final_id`` wraps the writes, which no step changes again."""
-        if self.state not in self.machine.states:
-            raise MalformedIDError(f"state {self.state!r} not in machine states")
+    def _halt(self, code: int) -> Halted:
+        """The run's ``Halted`` on reading ``code``; raises if the state or that symbol is foreign."""
+        state, sym = self.state, self.compiled.symbol_names[code]
+        if state not in self.machine.states:
+            raise MalformedIDError(f"state {state!r} not in machine states")
         if sym not in self.machine.alphabet:
             raise MalformedIDError(f"symbol {sym!r} not in machine alphabet")
-        tape = Tape(self.base_len, self.base_symbol, self.tape)
-        return Halted(self.steps, ID(self.state, self.head, tape))
+        return Halted(self.steps, self.snapshot())
 
     def _canonical_key(self) -> tuple:
         """The current configuration up to translation, as a hashable tuple.
 
         It is the form ``canonicalize`` gives (the leftmost written cell, or
-        the head on a blank tape, moved to 0) over the non-blank cells, so
-        two keys are equal exactly when the ``encode_id`` of the canonical
-        configurations are; no ``ID`` is built.
+        the head on a blank tape, moved to 0) over the non-blank cells, in
+        the run's codes and rows, so two keys of one run are equal exactly
+        when the ``encode_id`` of the canonical configurations are.
         """
-        cells = _plain_cells(self.base_len, self.base_symbol, self.tape)
+        cells = _plain_cells(self.base_len, self.base_code, self.tape, 0)
         shift = min(cells) if cells else self.head
         cells = tuple(sorted((cell - shift, sym) for cell, sym in cells.items()))
-        return self.state, self.head - shift, cells
+        return self.row, self.head - shift, cells
 
-    def _confirm(self, key: tuple[str, int], first: int) -> Optional[LoopDetected]:
+    def _confirm(self, key: int, first: int) -> Optional[LoopDetected]:
         """Decide a key hit exactly, against every earlier configuration with this key."""
         exact = self.exact.get(key)
         if exact is None:
             earlier = Runner(self.machine, self.start, detect_loops=False)
-            for _ in range(first):
-                earlier.advance()
+            if first:
+                earlier._steps(first)
             exact = self.exact[key] = {earlier._canonical_key(): first}
         prev = exact.setdefault(self._canonical_key(), self.steps)
         if prev == self.steps:
@@ -546,19 +654,28 @@ def run_for_ones(machine: Machine, start: ID, budget: int) -> int | LoopDetected
 
 
 _UNARY_ALPHABET = frozenset((BLANK, "1"))
+_UNARY_SYMBOLS = [BLANK, "1"]
+_UNARY_CODES = {BLANK: 0, "1": 1}
 
 
 def unary_writer(value: int) -> Machine:
     """A machine that writes ``value`` ones rightward from a blank tape, then halts.
 
-    Built straight from its states w0..w<value>, with one validation pass.
+    Built straight from its states w0..w<value>, with its table in closed
+    form: row 2j is w<j> reading a blank, whose rule writes a 1, moves
+    right and goes to row 2j + 2; nothing else has a rule.
     """
     if value < 0:
         raise GodelsimError("value must be >= 0")
     states = [f"w{j}" for j in range(value + 1)]
     transitions = {(state, BLANK): (after, "1", _RIGHT) for state, after in zip(states, states[1:])}
-    alphabet = _UNARY_ALPHABET if value else frozenset((BLANK,))
-    return Machine(frozenset(states), alphabet, transitions, "w0")
+    if not value:
+        return Machine(frozenset(states), frozenset((BLANK,)), transitions, "w0")
+    table: list[Optional[tuple[int, int, int]]] = [None] * (2 * value + 2)
+    table[: 2 * value : 2] = [(row, 1, 1) for row in range(2, 2 * value + 1, 2)]
+    rows = dict(zip(states, range(0, 2 * value + 1, 2)))
+    compiled = (states, _UNARY_SYMBOLS, rows, _UNARY_CODES, table)
+    return Machine(frozenset(states), _UNARY_ALPHABET, transitions, "w0", compiled)
 
 
 _TWO_STATE_LOOPER = Machine.from_rules(

@@ -352,6 +352,72 @@ def test_runner_raises_only_when_a_foreign_symbol_is_read():
     assert raised and finished
 
 
+def test_a_start_state_the_machine_lacks_raises_at_the_first_step():
+    machine = Machine.from_rules([("a", BLANK, "a", "1", "R")], "a")
+    start = ID("nope", 0, {})
+    assert Runner(machine, start).state == "nope"
+    task = SearchTask(0, lambda y: SubRun(machine, start), lambda h: True)
+    attempts = [
+        lambda: Runner(machine, start).run(0),
+        lambda: Runner(machine, start).run(3),
+        lambda: naive_run(machine, start, 3),
+        lambda: dovetail([task], 10, 10),
+    ]
+    for attempt in attempts:
+        with pytest.raises(MalformedIDError) as raised:
+            attempt()
+        assert str(raised.value) == "state 'nope' not in machine states"
+
+
+def test_a_foreign_tape_symbol_gets_a_code_past_the_alphabet_with_no_rule():
+    machine = Machine.from_rules([("a", "1", "a", "1", "R")], "a")
+    for start in (ID("a", 0, {0: "x"}), ID("a", 0, Tape(3, "x", {})), ID("nope", 0, {0: "x"})):
+        runner = Runner(machine, start)
+        code = runner.tape.get(0, runner.base_code)
+        assert runner.symbol_at(0) == "x" and code >= len(machine.symbol_names)
+        assert runner.table[runner.row + code] is None
+    runner = Runner(machine, ID("a", 0, {0: "x"}))
+    with pytest.raises(MalformedIDError, match="symbol 'x' not in machine alphabet"):
+        runner.run(5)
+    assert machine.symbol_names == [BLANK, "1"]
+
+
+def advance_loop(runner, budget):
+    """``runner.run(budget)`` taken one ``advance`` call a step."""
+    for _ in range(budget):
+        outcome = runner.advance()
+        if outcome is not None:
+            return outcome
+    return runner.halted() or BudgetExceeded(budget)
+
+
+def settle(runner, run, budget):
+    """What ``run(runner, budget)`` returns (or the error it raises) and the run it leaves."""
+    try:
+        outcome = run(runner, budget)
+    except MalformedIDError as exc:
+        outcome = str(exc)
+    after = runner.snapshot()
+    return outcome, runner.steps, after, dict(after.tape.writes), runner.state
+
+
+@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+def test_batched_run_matches_a_loop_of_single_steps(monkeypatch, modulus):
+    monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
+    kinds, resumed = set(), 0
+    for machine, start, budget in unary_runs(139, 200):
+        for begin in (start, plain_copy(start)):
+            for detect in (True, False):
+                batched = Runner(machine, begin, detect)
+                result = settle(batched, Runner.run, budget)
+                assert result == settle(Runner(machine, begin, detect), advance_loop, budget)
+                kinds.add(type(result[0]))
+                # A key hit that proved false in the middle of the batch, after which it went on.
+                resumed += detect and bool(batched.exact) and not isinstance(result[0], LoopDetected)
+    assert {Halted, LoopDetected, BudgetExceeded, str} <= kinds
+    assert resumed if modulus == 3 else not resumed
+
+
 def test_peak_memory_grows_linearly_with_the_budget():
     machine = corpus_machine("grow_right.tm")
 
@@ -517,6 +583,33 @@ def test_trial_machines_are_built_as_before():
         rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
         assert unary_writer(value) == Machine.from_rules(rules, "w0", extra_states=(f"w{value}",))
     assert two_state_looper() is two_state_looper()
+
+
+def decoded_rules(machine):
+    """The rules of ``machine``'s compiled table, decoded back to strings."""
+    width, states, symbols = len(machine.symbol_names), machine.state_names, machine.symbol_names
+    rules = {}
+    for index, rule in enumerate(machine.table):
+        if rule is not None:
+            nrow, ncode, move = rule
+            rules[states[index // width], symbols[index % width]] = (
+                states[nrow // width], symbols[ncode], Move.RIGHT if move == 1 else Move.LEFT
+            )
+    return rules
+
+
+def test_compiled_tables_decode_to_the_rules():
+    rng = random.Random(149)
+    machines = [unary_writer(value) for value in range(8)] + [two_state_looper()]
+    machines += [random_machine(rng) for _ in range(50)]
+    for machine in machines:
+        width = len(machine.alphabet)
+        assert decoded_rules(machine) == machine.transitions
+        assert machine.symbol_names[0] == BLANK and set(machine.symbol_names) == machine.alphabet
+        assert set(machine.state_names) == machine.states
+        assert machine.rows == {state: i * width for i, state in enumerate(machine.state_names)}
+        assert machine.codes == {sym: code for code, sym in enumerate(machine.symbol_names)}
+        assert len(machine.table) == len(machine.states) * width
 
 
 def dovetail_allocation(global_budget):
