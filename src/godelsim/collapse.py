@@ -10,6 +10,7 @@ the machine by one with the least horizon that covers it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Union
@@ -20,7 +21,9 @@ from .machine import LoopDetected, run_value
 Predicate = Callable[[int], int]
 
 
+@functools.cache
 def _pi_digits() -> str:
+    """The shipped decimal digits of pi, read once per process."""
     text = resources.files("godelsim").joinpath("data/pi_digits.txt").read_text("utf-8")
     return "".join(ch for ch in text if ch.isdigit())
 

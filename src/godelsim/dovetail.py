@@ -250,7 +250,9 @@ class MachineBackedFunction:
 
     The run for an argument tuple is ``machine.value_machine`` of its value:
     it writes the value of ``fn`` in unary and halts, or, for a tuple listed
-    in ``diverging``, never halts but is caught by loop detection at step 2.
+    in ``diverging``, never halts.  ``evaluate`` runs it through
+    ``machine.run_value``: a writer plainly, at the cost of its steps, and
+    the looper under loop detection, which catches it at step 2.
     """
 
     fn: Callable[..., int]

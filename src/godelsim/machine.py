@@ -216,6 +216,8 @@ class Tape(Mapping[int, str]):
         if symbol == BLANK:
             return 0
         n, in_base = self.n, self.symbol == symbol
+        if not n:
+            return list(self.writes.values()).count(symbol)
         total = n if in_base else 0
         for cell, sym in self.writes.items():
             total += (sym == symbol) - (in_base and 0 <= cell < n)
@@ -657,24 +659,50 @@ _UNARY_ALPHABET = frozenset((BLANK, "1"))
 _UNARY_SYMBOLS = [BLANK, "1"]
 _UNARY_CODES = {BLANK: 0, "1": 1}
 
+# What every writer is cut from, for writers up to len(names) - 1 ones:
+# (names, keys, rules, table), where names[j] = "w<j>", keys[j] = (w<j>,
+# blank), rules[j] = (w<j+1>, "1", R) and table[2j:2j+2] = (2j + 2, 1, 1),
+# None.  These lists are never changed in place: growing them builds longer
+# ones and rebinds this name, so a caller on another thread sees the old
+# lists or the new ones, whole.
+_WRITER_PARTS: tuple[list, list, list, list] = (["w0"], [], [], [])
+
+
+def _writer_parts(value: int) -> tuple[list, list, list, list]:
+    """The shared writer lists, grown by doubling when they are too short for ``value``."""
+    global _WRITER_PARTS
+    parts = _WRITER_PARTS
+    if len(parts[0]) > value:
+        return parts
+    size = max(value, 2 * len(parts[1]))
+    names = [f"w{j}" for j in range(size + 1)]
+    table: list[Optional[tuple[int, int, int]]] = [None] * (2 * size)
+    table[::2] = [(row, 1, 1) for row in range(2, 2 * size + 1, 2)]
+    keys = [(name, BLANK) for name in names[:-1]]
+    rules = [(name, "1", _RIGHT) for name in names[1:]]
+    _WRITER_PARTS = parts = (names, keys, rules, table)
+    return parts
+
 
 def unary_writer(value: int) -> Machine:
     """A machine that writes ``value`` ones rightward from a blank tape, then halts.
 
-    Built straight from its states w0..w<value>, with its table in closed
-    form: row 2j is w<j> reading a blank, whose rule writes a 1, moves
-    right and goes to row 2j + 2; nothing else has a rule.
+    Its states are w0..w<value>; w<j> reading a blank writes a 1, moves
+    right and goes to w<j+1>, and nothing else has a rule.  Its rules and
+    compiled table (row 2j → (2j + 2, 1, +1)) are C-level slices of lists
+    shared by all writers, grown by doubling to the largest value asked
+    for and kept for the life of the process (about 310 bytes a state).
+    A writer holds copies of what it takes, never a shared list itself.
     """
     if value < 0:
         raise GodelsimError("value must be >= 0")
-    states = [f"w{j}" for j in range(value + 1)]
-    transitions = {(state, BLANK): (after, "1", _RIGHT) for state, after in zip(states, states[1:])}
+    names, keys, rules, table = _writer_parts(value)
+    states = names[: value + 1]
+    transitions = dict(zip(keys[:value], rules[:value]))
     if not value:
         return Machine(frozenset(states), frozenset((BLANK,)), transitions, "w0")
-    table: list[Optional[tuple[int, int, int]]] = [None] * (2 * value + 2)
-    table[: 2 * value : 2] = [(row, 1, 1) for row in range(2, 2 * value + 1, 2)]
     rows = dict(zip(states, range(0, 2 * value + 1, 2)))
-    compiled = (states, _UNARY_SYMBOLS, rows, _UNARY_CODES, table)
+    compiled = (states, _UNARY_SYMBOLS, rows, _UNARY_CODES, table[: 2 * value] + [None, None])
     return Machine(frozenset(states), _UNARY_ALPHABET, transitions, "w0", compiled)
 
 
@@ -699,14 +727,21 @@ def value_machine(value: Optional[int]) -> Machine:
 
 
 def run_value(value: Optional[int]) -> int | LoopDetected:
-    """Run ``value_machine(value)`` from a blank tape under loop detection.
+    """Run ``value_machine(value)`` from a blank tape: ``value`` ones, or ``LoopDetected(2, 2)``.
 
     The budget follows from the value, so the run always reaches a verdict:
     a writer halts after exactly ``value`` steps with ``value`` ones, and the
-    looper repeats its start at step 2 (``LoopDetected(2, 2)``).
+    looper, run under loop detection, repeats its start at step 2.  A
+    writer runs without loop detection, at the cost of its steps alone.
     """
-    machine = value_machine(value)
-    return run_for_ones(machine, blank_id(machine), 2 if value is None else value)
+    if value is None:
+        return run_for_ones(_TWO_STATE_LOOPER, blank_id(_TWO_STATE_LOOPER), 2)
+    machine = unary_writer(value)
+    # No writer configuration can repeat, even up to translation: each rule
+    # sends row 2j to row 2j + 2, so the state index rises every step, and
+    # loop detection could only ever answer "no repeat".
+    outcome = Runner(machine, blank_id(machine), detect_loops=False).run(value)
+    return count_symbols(outcome.final_id)
 
 
 _HEADER_RE = re.compile(r"^(states|alphabet|start)\s*:\s*(.*)$")

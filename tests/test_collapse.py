@@ -2,6 +2,7 @@
 
 import pytest
 
+from godelsim import collapse
 from godelsim.collapse import (
     HorizonMachine,
     evaluate,
@@ -88,3 +89,12 @@ def test_horizon_machine_validation():
 def test_pi_predicate_starts_with_known_digits():
     pred = resolve_predicate("pi")
     assert [pred(n) for n in range(10)] == [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+
+
+def test_pi_digits_are_read_once(monkeypatch):
+    files, reads = collapse.resources.files, []
+    monkeypatch.setattr(collapse.resources, "files", lambda package: reads.append(package) or files(package))
+    collapse._pi_digits.cache_clear()
+    preds = [resolve_predicate("pi") for _ in range(3)]
+    assert reads == ["godelsim"]
+    assert {tuple(pred(n) for n in range(10)) for pred in preds} == {(3, 1, 4, 1, 5, 9, 2, 6, 5, 3)}

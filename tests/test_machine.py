@@ -1,5 +1,6 @@
 """Machine semantics: stepping, canonical forms, keys, and loop-detected runs."""
 
+import gc
 import random
 import tracemalloc
 from dataclasses import replace
@@ -28,6 +29,7 @@ from godelsim.machine import (
     load_machine_file,
     naive_run,
     parse_machine_text,
+    run_for_ones,
     run_value,
     run_with_loop_detection,
     step,
@@ -660,3 +662,86 @@ def test_value_machine_realizes_a_value_or_a_divergence():
             assert run_with_loop_detection(machine, blank_id(machine), value - 1) == BudgetExceeded(value - 1)
     with pytest.raises(GodelsimError, match="value must be >= 0"):
         run_value(-1)
+
+
+# --- writers cut from the shared lists --------------------------------------------
+
+
+def writer_facts(value):
+    """Check ``unary_writer(value)`` against its rules and runs; return what it built."""
+    machine = unary_writer(value)
+    rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
+    assert machine == Machine.from_rules(rules, "w0", extra_states=(f"w{value}",))
+    width = len(machine.alphabet)
+    assert decoded_rules(machine) == machine.transitions
+    assert machine.symbol_names[0] == BLANK and set(machine.symbol_names) == machine.alphabet
+    assert set(machine.state_names) == machine.states
+    assert machine.rows == {state: i * width for i, state in enumerate(machine.state_names)}
+    assert machine.codes == {sym: code for code, sym in enumerate(machine.symbol_names)}
+    assert len(machine.table) == len(machine.states) * width
+    shared = godelsim.machine._WRITER_PARTS
+    assert all(mine is not part for mine in (machine.state_names, machine.table) for part in shared)
+    assert run_value(value) == run_for_ones(machine, blank_id(machine), value) == value
+    if value:
+        assert run_with_loop_detection(machine, blank_id(machine), value - 1) == BudgetExceeded(value - 1)
+    return machine.state_names, machine.table, machine.transitions
+
+
+def test_writers_cut_from_shared_lists_match_their_rules(monkeypatch):
+    # From empty lists, so they grow while writers of mixed sizes are cut from them.
+    monkeypatch.setattr(godelsim.machine, "_WRITER_PARTS", (["w0"], [], [], []))
+    values = list(range(301))
+    random.Random(163).shuffle(values)
+    for value in values:
+        writer_facts(value)
+    assert len(godelsim.machine._WRITER_PARTS[0]) > 300
+
+
+def test_writers_built_on_many_threads_match_sequential_results(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    values = list(range(301)) * 2
+    random.Random(167).shuffle(values)
+    sequential = [writer_facts(value) for value in values]
+    monkeypatch.setattr(godelsim.machine, "_WRITER_PARTS", (["w0"], [], [], []))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent = list(pool.map(writer_facts, values, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == sequential
+
+
+def test_a_writer_run_keeps_no_seen_table_and_the_shared_lists_stay_small(monkeypatch):
+    value = 20_000
+    machine = unary_writer(value)  # the shared lists now cover it
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # A seen table would add about 100 bytes a step, 2 MB at this value.
+    build, plain = peak(lambda: unary_writer(value)), peak(lambda: naive_run(machine, blank_id(machine), value))
+    assert peak(lambda: run_value(value)) <= build + plain + 500_000
+
+    monkeypatch.setattr(godelsim.machine, "_WRITER_PARTS", (["w0"], [], [], []))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert run_value(value) == value
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+        assert retained - before <= 2 * 400 * (value + 1)
+        assert run_value(value // 4) == value // 4
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - retained <= 1_000
+    finally:
+        tracemalloc.stop()
