@@ -5,10 +5,12 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -180,10 +182,25 @@ def test_csv_format_has_header_and_rows():
 
 
 def test_gu_format_env_default(monkeypatch):
+    # Read at every call: the calls after the first one reuse its parser.
+    argv = ("beta", "matches", "0", "--bound", "2")
+    monkeypatch.delenv("GU_FORMAT", raising=False)
+    code, jsonl, _ = invoke(*argv)
+    assert code == 0 and len(records_of(jsonl)) == 3
+
     monkeypatch.setenv("GU_FORMAT", "csv")
     code, out, _ = invoke("beta", "encode", "0")
     assert code == 0
     assert out.splitlines()[0] == "b,c,record"
+
+    monkeypatch.setenv("GU_FORMAT", "xml")
+    code, out, err = invoke(*argv)
+    assert_one_line_error(code, out, err)
+    assert err.splitlines()[0].startswith("error: argument --format: invalid choice: 'xml'")
+    manifest = json.loads(err.splitlines()[1])
+    assert (manifest["subcommand"], manifest["seed"]) == (None, None)
+
+    assert invoke("--format", "jsonl", *argv)[:2] == (0, jsonl)
 
 
 def test_repeated_invocations_are_byte_identical():
@@ -410,6 +427,53 @@ def test_help_still_exits_zero_without_a_manifest():
         cli.main(["run", "--help"])
     assert info.value.code == 0
     assert out.getvalue().startswith("usage: gu run") and err.getvalue() == ""
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def call(*argv):
+    """``invoke``, with a ``SystemExit`` (as ``--help`` raises) caught and returned."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(monkeypatch):
+    monkeypatch.delenv("GU_FORMAT", raising=False)
+    calls = [
+        ("run",),
+        ("run", "--help"),
+        ("run", corpus_path("write3.tm"), "--trace"),
+        ("dovetail", corpus_path("halt0.tm") + "=zero-of", corpus_path("pingpong.tm") + "=zero-of",
+         "--sub-budget", "8", "--global-budget", "100"),
+    ]
+    firsts = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        firsts.append(call(*argv))
+    assert [code for code, _, _ in firsts] == [1, ("SystemExit", 0), 0, 0]
+    assert firsts[0][2].startswith("error: the following arguments are required: machine\n")
+    assert firsts[1][2] == ""
+
+    cli.build_parser.cache_clear()
+    assert [call(*argv) for argv in calls * 2] == firsts * 2
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(calls) - 1)
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import godelsim.cli as cli; print(cli.build_parser.cache_info().misses)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "0\n"
 
 
 # --- any argv: one exit code, one manifest, never a traceback ----------------------
