@@ -185,14 +185,18 @@ def _parse_input_spec(spec: str, machine) -> ID:
 
 
 def _parse_range(text: str) -> range:
+    """The integers of ``N`` or ``A..B``, both ends included; A > B is an error, not an empty range."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return range(int(lo), int(hi) + 1)
-        n = int(text)
-        return range(n, n + 1)
+            lo, hi = int(lo), int(hi)
+        else:
+            lo = hi = int(text)
     except ValueError as exc:
         raise CliError(f"bad range {text!r} (use N or A..B)") from exc
+    if lo > hi:
+        raise CliError(f"bad range {text!r} (A..B needs A <= B)")
+    return range(lo, hi + 1)
 
 
 class _TraceView:

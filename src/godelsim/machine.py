@@ -13,7 +13,7 @@ import functools
 import re
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import GodelsimError
 
@@ -143,15 +143,12 @@ class Machine:
         return cls(frozenset(states), frozenset(alphabet), transitions, start_state)
 
 
-def _plain_cells(n: int, symbol: Hashable, writes: dict, blank: Hashable = BLANK) -> dict:
-    """The non-``blank`` cells of ``symbol`` on 0..n-1 overlaid by ``writes``, as a new plain dict.
-
-    The symbols may be strings, or a ``Runner``'s codes with blank 0.
-    """
+def _plain_cells(n: int, symbol: str, writes: dict[int, str]) -> dict[int, str]:
+    """The non-blank cells of ``symbol`` on 0..n-1 overlaid by ``writes``, as a new plain dict."""
     cells = dict.fromkeys(range(n), symbol) if n else {}
     cells.update(writes)
     for cell, sym in writes.items():
-        if sym == blank:
+        if sym == BLANK:
             del cells[cell]
     return cells
 
@@ -405,9 +402,14 @@ class Runner:
     closed form.  Being relative to the head, the fingerprint follows a
     write or a one-cell move in O(1), and translates share a key, as they
     share a form under ``canonicalize``.  r and p are read when the runner
-    is built.  A key hit is only a candidate: the earlier configuration is
-    rebuilt by replaying from ``start`` and compared exactly after
-    ``canonicalize``, so a collision costs time but never changes a verdict.
+    is built.  A key hit is only a candidate, decided exactly by
+    ``_confirm``: it compares run keys (``_canonical_key``), which are
+    equal exactly when the ``canonicalize`` forms are, so a collision costs
+    time but never changes a verdict.  The earlier configuration's key
+    comes straight from ``start`` when the hit is on step 0, as every
+    loop back to the start is, and from a replay from ``start`` otherwise.
+    A key costs O(w log w) for the w cells the configuration wrote, however
+    long the base run is.
     """
 
     __slots__ = (
@@ -583,27 +585,74 @@ class Runner:
             raise MalformedIDError(f"symbol {sym!r} not in machine alphabet")
         return Halted(self.steps, self.snapshot())
 
-    def _canonical_key(self) -> tuple:
-        """The current configuration up to translation, as a hashable tuple.
+    def _canonical_key(self, at_start: bool = False) -> tuple:
+        """The current configuration (or, ``at_start``, the start) up to translation.
 
-        It is the form ``canonicalize`` gives (the leftmost written cell, or
-        the head on a blank tape, moved to 0) over the non-blank cells, in
-        the run's codes and rows, so two keys of one run are equal exactly
-        when the ``encode_id`` of the canonical configurations are.
+        The key is ``(row, head - shift, ((offset, length, code), ...))``
+        over the maximal runs of equal non-blank codes, in cell order, where
+        shift is the first cell of the leftmost run (the head, on a blank
+        tape) and each offset is a run's first cell minus shift.  The cells
+        of a tape and its maximal runs determine each other, so two keys of
+        one run are equal exactly when the ``encode_id`` of the
+        ``canonicalize`` forms of the two configurations are.
+
+        The base run is one interval, [0, base_len), which the sorted
+        writes split, so a key costs O(w log w) for w writes however long
+        the base is.  The start's key codes its writes through this run's
+        codes, so it compares with the keys of the run.
         """
-        cells = _plain_cells(self.base_len, self.base_code, self.tape, 0)
-        shift = min(cells) if cells else self.head
-        cells = tuple(sorted((cell - shift, sym) for cell, sym in cells.items()))
-        return self.row, self.head - shift, cells
+        if at_start:
+            start, compiled = self.start, self.compiled
+            writes = start.tape.writes if type(start.tape) is Tape else start.tape
+            row, head = compiled.rows[start.state], start.head
+            codes = compiled.codes
+            cells = sorted([(cell, codes[sym]) for cell, sym in writes.items()]) if writes else []
+        else:
+            row, head, cells = self.row, self.head, sorted(self.tape.items())
+        n, base_code = self.base_len, self.base_code
+        if not n and not cells:
+            return row, 0, ()
+        # A blank written past the base and past every write closes the base run.
+        cells.append((max(n, cells[-1][0] + 1) if cells else n, 0))
+        runs: list[tuple[int, int, int]] = []
+        # The run being built covers [begin, end) with ``code`` (none yet while
+        # code is 0); ``pos`` is the first base cell that no write has passed.
+        begin = end = code = pos = 0
+        for cell, sym in cells:
+            # The base cells from pos up to this write, then the write itself.
+            for first, last, piece in ((pos, min(cell, n), base_code), (cell, cell + 1, sym)):
+                if first >= last or not piece:
+                    continue
+                if piece == code and first == end:
+                    end = last
+                else:
+                    if code:
+                        runs.append((begin, end - begin, code))
+                    begin, end, code = first, last, piece
+            if cell >= 0:
+                pos = min(cell + 1, n)
+        if not code:
+            return row, 0, ()
+        runs.append((begin, end - begin, code))
+        shift = runs[0][0]
+        return row, head - shift, tuple([(offset - shift, length, sym) for offset, length, sym in runs])
 
     def _confirm(self, key: int, first: int) -> Optional[LoopDetected]:
-        """Decide a key hit exactly, against every earlier configuration with this key."""
+        """Decide a key hit exactly, against every earlier configuration with this key.
+
+        The first hit on a key builds the key of the earlier configuration:
+        the start's straight from ``start`` when the earlier step is 0, else
+        by replaying a runner without loop detection from ``start`` to it.
+        """
         exact = self.exact.get(key)
         if exact is None:
-            earlier = Runner(self.machine, self.start, detect_loops=False)
             if first:
+                earlier = Runner(self.machine, self.start, detect_loops=False)
                 earlier._steps(first)
-            exact = self.exact[key] = {earlier._canonical_key(): first}
+                earlier_key = earlier._canonical_key()
+            else:
+                earlier_key = self._canonical_key(at_start=True)
+            exact = self.exact[key] = {earlier_key: first}
         prev = exact.setdefault(self._canonical_key(), self.steps)
         if prev == self.steps:
             return None

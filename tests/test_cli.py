@@ -240,6 +240,15 @@ def test_bad_inputs_are_clean_errors(tmp_path):
     assert code == 1 and "bad input spec" in err
 
 
+def test_a_reversed_eval_range_is_a_clean_error():
+    # 5..2 used to evaluate nothing and exit 0.
+    code, out, err = invoke("collapse", "demo", "--k", "3", "--eval", "5..2")
+    assert_one_line_error(code, out, err)
+    assert err.splitlines()[0] == "error: bad range '5..2' (A..B needs A <= B)"
+    code, out, _ = invoke("collapse", "demo", "--k", "3", "--eval", "2..2")
+    assert code == 0 and [r["n"] for r in records_of(out) if r["record"] == "eval"] == [2]
+
+
 def test_property_named_like_a_fixed_column_is_prefixed(tmp_path):
     config = tmp_path / "clash.json"
     config.write_text(

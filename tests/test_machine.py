@@ -664,6 +664,101 @@ def test_value_machine_realizes_a_value_or_a_divergence():
         run_value(-1)
 
 
+# --- run keys: the exact check at the cost of the writes --------------------------
+
+
+def random_cells(rng, symbols, lo, hi):
+    """About a third of the cells lo..hi, each holding a symbol drawn from ``symbols``."""
+    return {cell: rng.choice(symbols) for cell in range(lo, hi + 1) if rng.random() < 0.35}
+
+
+def configuration_pair(rng):
+    """A start and a second configuration over the same base run, as the start's runner.
+
+    The start is a ``Tape`` or a plain dict, with blanks written over the
+    base, writes outside it, foreign symbols and sometimes a foreign state.
+    The second is a shifted copy of the start, a copy with one cell
+    changed, an empty tape or anything at all, written into the runner as
+    a run would leave it: a write wherever it differs from the base run.
+    """
+    n = rng.choice((0, 0, rng.randint(1, 12)))
+    writes = random_cells(rng, (BLANK, "0", "1", "x", "y"), -4, n + 4) if rng.random() < 0.8 else {}
+    state = rng.choice(("a", "b", "nope"))
+    head = rng.randint(-6, n + 6)
+    if rng.random() < 0.3:
+        start = ID(state, head, {cell: sym for cell, sym in writes.items() if sym != BLANK})
+    else:
+        start = ID(state, head, Tape(n, rng.choice(("1", "1", "0", "x")), writes))
+    machine = Machine.from_rules([("a", "1", "b", "0", "R"), ("b", BLANK, "a", "1", "L")], "a")
+    runner = Runner(machine, start)
+    names = runner.compiled.symbol_names
+    kind = rng.choice(("shift", "shift", "change", "empty", "any"))
+    shift = rng.randint(-8, 8)
+    state, head, cells = start.state, start.head + shift, {c + shift: s for c, s in start.tape.items()}
+    if kind == "change":
+        cells[rng.randint(min(cells, default=0) - 1, max(cells, default=0) + 1)] = rng.choice(names)
+    elif kind == "empty":
+        head, cells = rng.randint(-6, 6), {}
+    elif kind == "any":
+        head, cells = rng.randint(-6, n + 6), random_cells(rng, names, -4, n + 4)
+    if rng.random() < 0.2:
+        state = rng.choice(runner.compiled.state_names)
+    codes, n, symbol = runner.compiled.codes, runner.base_len, runner.base_symbol
+    runner.row, runner.head = runner.compiled.rows[state], head
+    runner.tape = {cell: codes[cells.get(cell, BLANK)] for cell in range(n) if cells.get(cell) != symbol}
+    runner.tape.update((cell, codes[sym]) for cell, sym in cells.items() if not 0 <= cell < n)
+    return start, runner, kind
+
+
+def test_run_keys_are_equal_exactly_when_encoded_canonical_forms_are():
+    rng = random.Random(173)
+    counts = {}
+    for _ in range(6000):
+        start, runner, kind = configuration_pair(rng)
+        at_start = Runner(runner.machine, start)
+        assert at_start._canonical_key() == at_start._canonical_key(at_start=True)
+        same = runner._canonical_key() == runner._canonical_key(at_start=True)
+        assert same == (encode_id(canonicalize(start)) == encode_id(canonicalize(runner.snapshot())))
+        counts[kind, same] = counts.get((kind, same), 0) + 1
+    # Each kind of pair gave both answers; shifted copies were mostly equal.
+    assert len(counts) == 8 and min(counts.values()) >= 10
+    assert counts["shift", True] > 1000
+
+
+def test_a_hit_on_the_start_is_confirmed_without_a_replay(monkeypatch):
+    built = 0
+    init = Runner.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Runner, "__init__", counting_init)
+    looper = two_state_looper()
+    tasks = [
+        SearchTask(i, lambda y, i=i: SubRun(looper, blank_id(looper)) if y < 5 + i else None, lambda h: True)
+        for i in range(3)
+    ]
+    outcome = dovetail(tasks, 8, 1000)
+    assert [status.loops_detected for status in outcome.statuses] == [5, 6, 7]
+    assert built == 18
+    built = 0
+    assert run_value(None) == LoopDetected(2, 2) and built == 1
+
+
+def test_a_reader_on_a_million_ones_confirms_in_constant_memory():
+    reader = Machine.from_rules([("a", "1", "b", "1", "R"), ("b", "1", "a", "1", "L")], "a")
+    tracemalloc.start()
+    try:
+        outcome = run_with_loop_detection(reader, unary_id(reader, 10**6), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Materializing the base run for the exact check peaked at 274 MB.
+    assert outcome == LoopDetected(2, 2) and peak < 1_000_000
+
+
 # --- writers cut from the shared lists --------------------------------------------
 
 
