@@ -1,10 +1,11 @@
 """Horizon machines: per-input computable up to a horizon, looping at and past it.
 
 A horizon machine wraps a total predicate.  Inputs below the current
-horizon run a machine that writes the predicate value and halts; inputs
-at or past the horizon run a two-state ping-pong whose configuration
-repeats within two steps, so loop-detecting execution self-terminates
-promptly instead of hanging.  Measuring an out-of-reach input replaces
+horizon run the shared unary reader over the predicate value in ones,
+which halts after exactly that many steps and leaves them; inputs at or
+past the horizon run a two-state ping-pong whose configuration repeats
+within two steps, so loop-detecting execution self-terminates promptly
+instead of hanging (both through ``machine.run_value``).  Measuring an out-of-reach input replaces
 the machine by one with the least horizon that covers it.
 """
 

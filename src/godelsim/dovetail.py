@@ -24,10 +24,9 @@ from .machine import (
     LoopDetected,
     Machine,
     Runner,
-    blank_id,
     count_symbols,
     run_value,
-    value_machine,
+    value_start,
 )
 
 
@@ -248,11 +247,12 @@ TotalMuResult = Defined | Vacuous
 class MachineBackedFunction:
     """A total function on naturals realized point by point as machine runs.
 
-    The run for an argument tuple is ``machine.value_machine`` of its value:
-    it writes the value of ``fn`` in unary and halts, or, for a tuple listed
-    in ``diverging``, never halts.  ``evaluate`` runs it through
-    ``machine.run_value``: a writer plainly, at the cost of its steps, and
-    the looper under loop detection, which catches it at step 2.
+    The run for an argument tuple is ``machine.value_start`` of its value:
+    the shared unary reader on the value of ``fn`` in ones, which halts
+    after exactly that many steps and leaves them, or, for a tuple listed
+    in ``diverging``, the looper, which never halts.  ``evaluate`` runs it
+    through ``machine.run_value``: the reader plainly, at the cost of its
+    steps, and the looper under loop detection, which catches it at step 2.
     """
 
     fn: Callable[..., int]
@@ -263,8 +263,7 @@ class MachineBackedFunction:
         return None if args in self.diverging else self.fn(*args)
 
     def subrun(self, *args: int) -> SubRun:
-        machine = value_machine(self.value(*args))
-        return SubRun(machine, blank_id(machine))
+        return SubRun(*value_start(self.value(*args)))
 
     def evaluate(self, *args: int) -> int | LoopDetected:
         """Run the tuple's machine: the ones it leaves, or ``LoopDetected`` if it diverges."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -46,33 +46,6 @@ class MachineParseError(MachineError):
 # lookup ``Move.RIGHT`` costs about ten times a module-global lookup.
 _RIGHT = Move.RIGHT
 
-# The fields of a ``Machine``'s compiled form, in the order ``compiled`` gives them.
-_COMPILED = ("state_names", "symbol_names", "rows", "codes", "table")
-
-
-def _compile(
-    state_names: list[str], symbol_names: list[str], transitions: Mapping[tuple[str, str], tuple[str, str, Move]]
-) -> tuple[dict[str, int], dict[str, int], list[Optional[tuple[int, int, int]]]]:
-    """Validate ``transitions`` over the decode lists and compile them: (rows, codes, table).
-
-    See ``Machine``; a row or code that no rule reads has ``None`` entries.
-    """
-    width = len(symbol_names)
-    rows = {state: index * width for index, state in enumerate(state_names)}
-    codes = {sym: code for code, sym in enumerate(symbol_names)}
-    table: list[Optional[tuple[int, int, int]]] = [None] * (len(state_names) * width)
-    for (state, sym), (nstate, nsym, move) in transitions.items():
-        row, nrow = rows.get(state), rows.get(nstate)
-        if row is None or nrow is None:
-            raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown state")
-        code, ncode = codes.get(sym), codes.get(nsym)
-        if code is None or ncode is None:
-            raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown symbol")
-        if not isinstance(move, Move):
-            raise GodelsimError("move must be a Move")
-        table[row + code] = (nrow, ncode, 1 if move is _RIGHT else -1)
-    return rows, codes, table
-
 
 @dataclass(frozen=True)
 class Machine:
@@ -89,32 +62,44 @@ class Machine:
     rule for the state whose row offset is ``row`` reading the symbol
     ``code``: ``(next row, write code, +1 | -1)``, or ``None`` where the
     machine halts.  A state's row offset is its index times the number of
-    symbols.  ``compiled`` hands in that form ready-made (as
-    ``unary_writer`` does), and is then trusted as it is.
+    symbols.
     """
 
     states: frozenset[str]
     alphabet: frozenset[str]
     transitions: Mapping[tuple[str, str], tuple[str, str, Move]]
     start_state: str
-    compiled: InitVar[Optional[tuple]] = None
     state_names: list[str] = field(init=False, repr=False, compare=False)
     symbol_names: list[str] = field(init=False, repr=False, compare=False)
     rows: dict[str, int] = field(init=False, repr=False, compare=False)
     codes: dict[str, int] = field(init=False, repr=False, compare=False)
     table: list[Optional[tuple[int, int, int]]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, compiled: Optional[tuple]) -> None:
-        if compiled is None:
-            if BLANK not in self.alphabet:
-                raise GodelsimError("alphabet must contain the blank symbol")
-            if self.start_state not in self.states:
-                raise GodelsimError(f"start state {self.start_state!r} not in states")
-            state_names = sorted(self.states)
-            symbol_names = [BLANK, *sorted(self.alphabet - {BLANK})]
-            compiled = (state_names, symbol_names, *_compile(state_names, symbol_names, self.transitions))
+    def __post_init__(self) -> None:
+        if BLANK not in self.alphabet:
+            raise GodelsimError("alphabet must contain the blank symbol")
+        if self.start_state not in self.states:
+            raise GodelsimError(f"start state {self.start_state!r} not in states")
+        state_names = sorted(self.states)
+        symbol_names = [BLANK, *sorted(self.alphabet - {BLANK})]
+        width = len(symbol_names)
+        rows = {state: index * width for index, state in enumerate(state_names)}
+        codes = {sym: code for code, sym in enumerate(symbol_names)}
+        table: list[Optional[tuple[int, int, int]]] = [None] * (len(state_names) * width)
+        for (state, sym), (nstate, nsym, move) in self.transitions.items():
+            row, nrow = rows.get(state), rows.get(nstate)
+            if row is None or nrow is None:
+                raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown state")
+            code, ncode = codes.get(sym), codes.get(nsym)
+            if code is None or ncode is None:
+                raise GodelsimError(f"transition ({state!r}, {sym!r}) uses unknown symbol")
+            if not isinstance(move, Move):
+                raise GodelsimError("move must be a Move")
+            table[row + code] = (nrow, ncode, 1 if move is _RIGHT else -1)
         # A frozen dataclass sets its fields through __dict__.
-        self.__dict__.update(zip(_COMPILED, compiled))
+        self.__dict__.update(
+            state_names=state_names, symbol_names=symbol_names, rows=rows, codes=codes, table=table
+        )
 
     @classmethod
     def from_rules(
@@ -358,15 +343,12 @@ def _start_fingerprint(
 
 
 def _widened(machine: Machine, state: str, symbols: Iterable[str]) -> Machine:
-    """``machine`` compiled with ``state`` and ``symbols`` added where it lacks them.
+    """``machine`` with ``state`` and ``symbols`` added, started in ``state``.
 
-    The new row and codes come after its own and have no rule, so a run
-    that reads one halts there, and ``Runner._halt`` raises.
+    The added state and symbols have no rule, so a run that reads one
+    halts there, and ``Runner._halt`` raises.
     """
-    state_names = machine.state_names if state in machine.rows else [*machine.state_names, state]
-    symbol_names = [*machine.symbol_names, *sorted(set(symbols) - machine.alphabet)]
-    compiled = (state_names, symbol_names, *_compile(state_names, symbol_names, machine.transitions))
-    return Machine(frozenset(state_names), frozenset(symbol_names), machine.transitions, state, compiled)
+    return Machine(machine.states | {state}, machine.alphabet | set(symbols), machine.transitions, state)
 
 
 class Runner:
@@ -704,57 +686,6 @@ def run_for_ones(machine: Machine, start: ID, budget: int) -> int | LoopDetected
     return outcome
 
 
-_UNARY_ALPHABET = frozenset((BLANK, "1"))
-_UNARY_SYMBOLS = [BLANK, "1"]
-_UNARY_CODES = {BLANK: 0, "1": 1}
-
-# What every writer is cut from, for writers up to len(names) - 1 ones:
-# (names, keys, rules, table), where names[j] = "w<j>", keys[j] = (w<j>,
-# blank), rules[j] = (w<j+1>, "1", R) and table[2j:2j+2] = (2j + 2, 1, 1),
-# None.  These lists are never changed in place: growing them builds longer
-# ones and rebinds this name, so a caller on another thread sees the old
-# lists or the new ones, whole.
-_WRITER_PARTS: tuple[list, list, list, list] = (["w0"], [], [], [])
-
-
-def _writer_parts(value: int) -> tuple[list, list, list, list]:
-    """The shared writer lists, grown by doubling when they are too short for ``value``."""
-    global _WRITER_PARTS
-    parts = _WRITER_PARTS
-    if len(parts[0]) > value:
-        return parts
-    size = max(value, 2 * len(parts[1]))
-    names = [f"w{j}" for j in range(size + 1)]
-    table: list[Optional[tuple[int, int, int]]] = [None] * (2 * size)
-    table[::2] = [(row, 1, 1) for row in range(2, 2 * size + 1, 2)]
-    keys = [(name, BLANK) for name in names[:-1]]
-    rules = [(name, "1", _RIGHT) for name in names[1:]]
-    _WRITER_PARTS = parts = (names, keys, rules, table)
-    return parts
-
-
-def unary_writer(value: int) -> Machine:
-    """A machine that writes ``value`` ones rightward from a blank tape, then halts.
-
-    Its states are w0..w<value>; w<j> reading a blank writes a 1, moves
-    right and goes to w<j+1>, and nothing else has a rule.  Its rules and
-    compiled table (row 2j → (2j + 2, 1, +1)) are C-level slices of lists
-    shared by all writers, grown by doubling to the largest value asked
-    for and kept for the life of the process (about 310 bytes a state).
-    A writer holds copies of what it takes, never a shared list itself.
-    """
-    if value < 0:
-        raise GodelsimError("value must be >= 0")
-    names, keys, rules, table = _writer_parts(value)
-    states = names[: value + 1]
-    transitions = dict(zip(keys[:value], rules[:value]))
-    if not value:
-        return Machine(frozenset(states), frozenset((BLANK,)), transitions, "w0")
-    rows = dict(zip(states, range(0, 2 * value + 1, 2)))
-    compiled = (states, _UNARY_SYMBOLS, rows, _UNARY_CODES, table[: 2 * value] + [None, None])
-    return Machine(frozenset(states), _UNARY_ALPHABET, transitions, "w0", compiled)
-
-
 _TWO_STATE_LOOPER = Machine.from_rules(
     [("p0", BLANK, "p1", BLANK, "R"), ("p1", BLANK, "p0", BLANK, "L")], "p0"
 )
@@ -770,26 +701,40 @@ def two_state_looper() -> Machine:
     return _TWO_STATE_LOOPER
 
 
-def value_machine(value: Optional[int]) -> Machine:
-    """The machine that realizes ``value``: ``unary_writer(value)``, or the looper for None."""
-    return _TWO_STATE_LOOPER if value is None else unary_writer(value)
+# Walks right over a run of ones, writing nothing, and halts on the first blank.
+_UNARY_READER = Machine.from_rules([("r", "1", "r", "1", "R")], "r")
+
+
+def value_start(value: Optional[int]) -> tuple[Machine, ID]:
+    """The run that realizes ``value``: (machine, start configuration).
+
+    For a value v it is one shared reader on ``unary_id(reader, v)``, which
+    halts after exactly v steps with the v ones it started on; for None,
+    a divergence, it is the two-state looper on a blank tape.
+    """
+    if value is None:
+        return _TWO_STATE_LOOPER, blank_id(_TWO_STATE_LOOPER)
+    if value < 0:
+        raise GodelsimError("value must be >= 0")
+    return _UNARY_READER, unary_id(_UNARY_READER, value)
 
 
 def run_value(value: Optional[int]) -> int | LoopDetected:
-    """Run ``value_machine(value)`` from a blank tape: ``value`` ones, or ``LoopDetected(2, 2)``.
+    """Run ``value_start(value)``: ``value`` ones, or ``LoopDetected(2, 2)``.
 
     The budget follows from the value, so the run always reaches a verdict:
-    a writer halts after exactly ``value`` steps with ``value`` ones, and the
-    looper, run under loop detection, repeats its start at step 2.  A
-    writer runs without loop detection, at the cost of its steps alone.
+    the reader halts after exactly ``value`` steps, and the looper, run
+    under loop detection, repeats its start at step 2.  The reader runs
+    without loop detection, at the cost of its steps alone.
     """
+    machine, start = value_start(value)
     if value is None:
-        return run_for_ones(_TWO_STATE_LOOPER, blank_id(_TWO_STATE_LOOPER), 2)
-    machine = unary_writer(value)
-    # No writer configuration can repeat, even up to translation: each rule
-    # sends row 2j to row 2j + 2, so the state index rises every step, and
-    # loop detection could only ever answer "no repeat".
-    outcome = Runner(machine, blank_id(machine), detect_loops=False).run(value)
+        return run_for_ones(machine, start, 2)
+    # No reader configuration can repeat, even up to translation: the head
+    # moves right every step over a tape that never changes, so its offset
+    # from the leftmost 1 rises, and loop detection could only ever answer
+    # "no repeat".
+    outcome = Runner(machine, start, detect_loops=False).run(value)
     return count_symbols(outcome.final_id)
 
 

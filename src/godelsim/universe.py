@@ -510,6 +510,8 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             rule = MachineRule(load_machine_file(path), int(params.pop("budget", "10000")))
+            if rule.budget < 0:
+                raise ConfigError(f"machine rule needs budget >= 0 in {spec!r}")
         else:
             raise ConfigError(f"unknown uniform rule {rule_name!r} in {spec!r}")
     except KeyError as exc:
@@ -525,11 +527,15 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
     return UniformProvider(rule)
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer: not a float, a string or a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _config_int(path: Path, what: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {what} must be an integer, got {value!r}") from exc
+    if not _is_int(value):
+        raise ConfigError(f"{path}: {what} must be an integer, got {value!r}")
+    return value
 
 
 _JSON_KINDS = {list: "a list", dict: "an object"}
@@ -559,10 +565,9 @@ def load_universe_config(path: str | Path) -> SimSetup:
         registry.register(str(name))
     particles = []
     for entry in _config_field(path, data, "particles", list):
-        try:
-            pid = int(entry["id"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: particle entry needs an integer id") from exc
+        pid = entry.get("id") if isinstance(entry, dict) else None
+        if not _is_int(pid):
+            raise ConfigError(f"{path}: particle entry needs an integer id")
         providers: dict[int, Provider] = {}
         where = f" of particle {pid}"
         for prop_name, spec in _config_field(path, entry, "providers", dict, where).items():

@@ -334,10 +334,11 @@ def test_out_of_range_naturals_are_clean_errors(argv, name):
         "uniform:table,values=",
         "horizon:parity,k0=x",
         "uniform:machine,file=missing.tm",
+        f"uniform:machine,file={corpus_path('halt0.tm')},budget=-1",
     ],
     ids=[
         "affine-not-a-number", "affine-mod-zero", "table-empty-value",
-        "horizon-k0", "machine-missing-file",
+        "horizon-k0", "machine-missing-file", "machine-negative-budget",
     ],
 )
 def test_bad_provider_spec_is_a_clean_error(tmp_path, spec):
@@ -379,8 +380,17 @@ def test_beta_encode_past_the_int_digit_limit():
         ({"particles": [{"id": 1, "providers": {"p": "uniform:constant,value=1"},
                          "initial": 5}]}, "initial"),
         ({"particles": [{"id": 1, "providers": ["x"]}]}, "providers"),
+        ({"steps": 2.7}, "steps"),
+        ({"window": True}, "window"),
+        ({"particles": [{"id": 1, "providers": {"p": "uniform:constant,value=3"},
+                         "initial": {"p": 3.9}}]}, "initial value for 'p'"),
+        ({"particles": [{"id": 1.5, "providers": {"p": "uniform:constant,value=1"}}]}, "integer id"),
+        ({"particles": [{"id": False, "providers": {"p": "uniform:constant,value=1"}}]}, "integer id"),
     ],
-    ids=["steps", "window", "initial", "properties-shape", "initial-shape", "providers-shape"],
+    ids=[
+        "steps", "window", "initial", "properties-shape", "initial-shape", "providers-shape",
+        "steps-float", "window-bool", "initial-float", "id-float", "id-bool",
+    ],
 )
 def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):
     path = tmp_path / "bad.json"

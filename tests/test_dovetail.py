@@ -26,10 +26,11 @@ from godelsim.dovetail import (
 )
 from godelsim.machine import (
     LoopDetected,
+    Machine,
     blank_id,
     run_with_loop_detection,
     two_state_looper,
-    unary_writer,
+    unary_id,
 )
 
 from helpers import (
@@ -39,6 +40,7 @@ from helpers import (
     rank_to_pair,
     reference_dovetail,
 )
+from test_machine import writer_machine
 
 
 def fn_task(task_id, fn):
@@ -152,14 +154,15 @@ def test_machine_backed_value_subrun_and_evaluate_agree():
         g = MachineBackedFunction(lambda x, y, t=table: t[x, y], diverging)
         point = (rng.randrange(4), rng.randrange(4))
         sub = g.subrun(*point)
-        assert sub.input == blank_id(sub.machine)
         if point in diverging:
             assert g.value(*point) is None
             assert sub.machine is two_state_looper()
+            assert sub.input == blank_id(sub.machine)
             assert g.evaluate(*point) == LoopDetected(2, 2)
         else:
             assert g.value(*point) == table[point] == g.evaluate(*point)
-            assert sub.machine == unary_writer(table[point])
+            assert sub.machine == Machine.from_rules([("r", "1", "r", "1", "R")], "r")
+            assert sub.input == unary_id(sub.machine, table[point])
 
 
 def test_total_mu_calls_fn_once_per_trial():
@@ -375,6 +378,38 @@ def recording_tasks(tasks, log):
         return SearchTask(task.task_id, generator, task.accept)
 
     return [recorded(task) for task in tasks]
+
+
+def writer_tasks(tasks, g, args):
+    """``tasks`` over ``g`` at ``args`` with each value's trial run as a writer from a blank tape."""
+
+    def generator(y):
+        value = g.value(*args, y)
+        machine = two_state_looper() if value is None else writer_machine(value)
+        return SubRun(machine, blank_id(machine))
+
+    return [SearchTask(task.task_id, generator, task.accept) for task in tasks]
+
+
+def test_reader_trials_match_writer_trials_from_a_blank_tape():
+    rng = random.Random(4_2015)
+    results = set()
+    for _ in range(300):
+        table = [rng.choice((0, 0, 1, 2, 3, 5, 8, 13)) for _ in range(rng.randint(1, 10))]
+        diverging = frozenset((x, y) for x in range(2) for y in range(30) if rng.random() < 0.2)
+        g = MachineBackedFunction(lambda x, y, t=table: t[(x + y) % len(t)], diverging)
+        args = (rng.randrange(2),)
+        tasks = rng.choice(([make_t1(g, args)], [make_t2(g, args)], [make_t1(g, args), make_t2(g, args)]))
+        sub_budget, global_budget = rng.randint(1, 10), rng.randint(1, 200)
+        events, outcome = traced_dovetail(tasks, sub_budget, global_budget)
+        ref_events, ref_outcome = reference_dovetail(writer_tasks(tasks, g, args), sub_budget, global_budget)
+        assert events == ref_events
+        assert describe(outcome) == ref_outcome
+        results.update(e[4] for e in events)
+    # Sub-budgets cut some trials, loopers diverge, and halts are both accepted and rejected.
+    assert results == {
+        "advanced", "halted-accepted", "halted-rejected", "loop-detected", "sub-budget-exhausted",
+    }
 
 
 def test_generator_calls_match_reference_at_every_global_budget():

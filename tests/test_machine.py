@@ -35,12 +35,17 @@ from godelsim.machine import (
     step,
     two_state_looper,
     unary_id,
-    unary_writer,
-    value_machine,
+    value_start,
 )
 from godelsim.dovetail import SearchTask, SubRun, dovetail, unary_output
 
 from helpers import canonical_tuple, naive_outcome, random_id, random_machine
+
+
+def writer_machine(value):
+    """A machine that writes ``value`` ones rightward from a blank tape, then halts."""
+    rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
+    return Machine.from_rules(rules, "w0", extra_states=(f"w{value}",))
 
 
 def test_step_empty_table_halts():
@@ -141,13 +146,13 @@ def test_run_detects_rightward_drift():
 
 
 def test_run_budget_exceeded_on_growing_tape():
-    machine = unary_writer(1000)  # far larger than the budget
+    machine = writer_machine(1000)  # far larger than the budget
     outcome = run_with_loop_detection(machine, ID(machine.start_state, 0, {}), 25)
     assert outcome == BudgetExceeded(25)
 
 
 def test_run_halts_exactly_at_budget_boundary():
-    machine = unary_writer(5)
+    machine = writer_machine(5)
     start = ID(machine.start_state, 0, {})
     assert run_with_loop_detection(machine, start, 5) == naive_run(machine, start, 5)
     assert isinstance(run_with_loop_detection(machine, start, 5), Halted)
@@ -176,7 +181,7 @@ def test_translation_equivariance_on_random_pairs():
 
 
 def test_visit_observer_sees_canonical_start():
-    machine = unary_writer(2)
+    machine = writer_machine(2)
     visits = []
     run_with_loop_detection(
         machine, ID(machine.start_state, 0, {}), 10, lambda s, d: visits.append((s, d))
@@ -580,13 +585,6 @@ def test_start_fingerprint_matches_a_brute_force_sum(monkeypatch, modulus):
         assert Runner(machine, ID("a", head, cells)).fp == expected
 
 
-def test_trial_machines_are_built_as_before():
-    for value in range(6):
-        rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
-        assert unary_writer(value) == Machine.from_rules(rules, "w0", extra_states=(f"w{value}",))
-    assert two_state_looper() is two_state_looper()
-
-
 def decoded_rules(machine):
     """The rules of ``machine``'s compiled table, decoded back to strings."""
     width, states, symbols = len(machine.symbol_names), machine.state_names, machine.symbol_names
@@ -602,7 +600,7 @@ def decoded_rules(machine):
 
 def test_compiled_tables_decode_to_the_rules():
     rng = random.Random(149)
-    machines = [unary_writer(value) for value in range(8)] + [two_state_looper()]
+    machines = [writer_machine(value) for value in range(8)] + [two_state_looper()]
     machines += [random_machine(rng) for _ in range(50)]
     for machine in machines:
         width = len(machine.alphabet)
@@ -649,19 +647,42 @@ def test_dovetail_over_unary_trials_costs_linear_allocation():
 
 
 def test_value_machine_realizes_a_value_or_a_divergence():
-    assert value_machine(None) is two_state_looper()
+    looper = two_state_looper()
+    assert value_start(None) == (looper, blank_id(looper)) and value_start(None)[0] is looper
     assert run_value(None) == LoopDetected(2, 2)
     # Each budget run_value gives is exact: one step less runs the machine out.
-    looper = two_state_looper()
     assert run_with_loop_detection(looper, blank_id(looper), 1) == BudgetExceeded(1)
+    reader = Machine.from_rules([("r", "1", "r", "1", "R")], "r")
     for value in range(8):
-        machine = value_machine(value)
-        assert machine == unary_writer(value)
+        machine, start = value_start(value)
+        assert (machine, start) == (reader, unary_id(reader, value))
         assert run_value(value) == value
+        # The reader takes exactly the steps and leaves exactly the ones of a writer from blank.
+        writer = writer_machine(value)
+        halted = run_with_loop_detection(machine, start, value)
+        assert halted.steps == naive_run(writer, blank_id(writer), value).steps == value
+        assert count_symbols(halted.final_id) == value
         if value:
-            assert run_with_loop_detection(machine, blank_id(machine), value - 1) == BudgetExceeded(value - 1)
+            assert run_with_loop_detection(machine, start, value - 1) == BudgetExceeded(value - 1)
     with pytest.raises(GodelsimError, match="value must be >= 0"):
         run_value(-1)
+
+
+def test_run_value_of_a_million_holds_no_memory():
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run_value(10**6) == 10**6
+        peak = tracemalloc.get_traced_memory()[1] - before
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # A writer built for the value peaked at 132.7 MB at 200 000 and kept half of it.
+    # What is left is the int ``before`` itself, allocated while tracing.
+    assert peak < 100_000 and retained < 100, (peak, retained)
 
 
 # --- run keys: the exact check at the cost of the writes --------------------------
@@ -757,86 +778,3 @@ def test_a_reader_on_a_million_ones_confirms_in_constant_memory():
         tracemalloc.stop()
     # Materializing the base run for the exact check peaked at 274 MB.
     assert outcome == LoopDetected(2, 2) and peak < 1_000_000
-
-
-# --- writers cut from the shared lists --------------------------------------------
-
-
-def writer_facts(value):
-    """Check ``unary_writer(value)`` against its rules and runs; return what it built."""
-    machine = unary_writer(value)
-    rules = [(f"w{j}", BLANK, f"w{j + 1}", "1", "R") for j in range(value)]
-    assert machine == Machine.from_rules(rules, "w0", extra_states=(f"w{value}",))
-    width = len(machine.alphabet)
-    assert decoded_rules(machine) == machine.transitions
-    assert machine.symbol_names[0] == BLANK and set(machine.symbol_names) == machine.alphabet
-    assert set(machine.state_names) == machine.states
-    assert machine.rows == {state: i * width for i, state in enumerate(machine.state_names)}
-    assert machine.codes == {sym: code for code, sym in enumerate(machine.symbol_names)}
-    assert len(machine.table) == len(machine.states) * width
-    shared = godelsim.machine._WRITER_PARTS
-    assert all(mine is not part for mine in (machine.state_names, machine.table) for part in shared)
-    assert run_value(value) == run_for_ones(machine, blank_id(machine), value) == value
-    if value:
-        assert run_with_loop_detection(machine, blank_id(machine), value - 1) == BudgetExceeded(value - 1)
-    return machine.state_names, machine.table, machine.transitions
-
-
-def test_writers_cut_from_shared_lists_match_their_rules(monkeypatch):
-    # From empty lists, so they grow while writers of mixed sizes are cut from them.
-    monkeypatch.setattr(godelsim.machine, "_WRITER_PARTS", (["w0"], [], [], []))
-    values = list(range(301))
-    random.Random(163).shuffle(values)
-    for value in values:
-        writer_facts(value)
-    assert len(godelsim.machine._WRITER_PARTS[0]) > 300
-
-
-def test_writers_built_on_many_threads_match_sequential_results(monkeypatch):
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    values = list(range(301)) * 2
-    random.Random(167).shuffle(values)
-    sequential = [writer_facts(value) for value in values]
-    monkeypatch.setattr(godelsim.machine, "_WRITER_PARTS", (["w0"], [], [], []))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            concurrent = list(pool.map(writer_facts, values, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert concurrent == sequential
-
-
-def test_a_writer_run_keeps_no_seen_table_and_the_shared_lists_stay_small(monkeypatch):
-    value = 20_000
-    machine = unary_writer(value)  # the shared lists now cover it
-
-    def peak(run):
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # A seen table would add about 100 bytes a step, 2 MB at this value.
-    build, plain = peak(lambda: unary_writer(value)), peak(lambda: naive_run(machine, blank_id(machine), value))
-    assert peak(lambda: run_value(value)) <= build + plain + 500_000
-
-    monkeypatch.setattr(godelsim.machine, "_WRITER_PARTS", (["w0"], [], [], []))
-    tracemalloc.start()
-    try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        assert run_value(value) == value
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-        assert retained - before <= 2 * 400 * (value + 1)
-        assert run_value(value // 4) == value // 4
-        gc.collect()
-        assert tracemalloc.get_traced_memory()[0] - retained <= 1_000
-    finally:
-        tracemalloc.stop()
