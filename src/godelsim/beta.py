@@ -12,10 +12,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import GodelsimError
+
+
+# Predicted values wait in a list of about this many before they are tallied.
+_TALLY_BUFFER = 1 << 16
 
 
 class EmptyMatchSetError(GodelsimError):
@@ -99,25 +102,48 @@ def beta_eval(pair: BetaPair, i: int) -> int:
 def beta_encode(seq: Sequence[int]) -> BetaPair:
     """Constructively determine a pair realizing ``seq`` at indices 0..n.
 
-    c is the factorial of max(n+1, max value), which makes the moduli
-    1 + (i+1)*c pairwise coprime; b is the least CRT solution.  Each merge
-    checks this on the way: the product of the earlier moduli has an inverse
-    modulo the next one exactly when the next is coprime with each of them.
+    c is the factorial of max(n+1, max value), so n! divides c, and that
+    makes the moduli m_i = 1 + (i+1)*c pairwise coprime: a prime dividing
+    m_i and m_j divides their distance (j-i)*c but not c (each modulus is
+    1 mod c), so it divides j-i <= n and hence n!, which divides c: no such
+    prime exists.  That one check, ``c % n! == 0``, guards the construction.
+    b is the least CRT solution.
+
+    Modulo m_i, c = -1/(i+1), so the product of the other moduli is
+    (-1)^(n-i) i!(n-i)!/(i+1)^n and its inverse has the closed form
+    a_i = (-1)^(n-i+1) (i+1)^(n+1) (c // n!) C(n, i): no modular inverse.
+    The leaves (v_i a_i mod m_i, m_i) merge up a product tree as
+    (N_L M_R + N_R M_L, M_L M_R); the root's N is below (n+1) M, so its
+    residue mod M is cheap.  The cost is that of the tree's products, which
+    Python multiplies with Karatsuba, not the quadratic cost of merging one
+    congruence at a time into a running product.
     """
     _check_sequence(seq)
     n = len(seq) - 1
     c = math.factorial(max(n + 1, max(seq)))
-    b, modulus = 0, 1
+    factorial_n = 1
+    for k in range(2, n + 1):
+        factorial_n *= k
+    quotient, rest = divmod(c, factorial_n)
+    if rest:
+        raise AssertionError("moduli are not pairwise coprime")
+    level = []
+    sign_binomial = -1 if n % 2 == 0 else 1  # (-1)^(n-i+1) C(n, i)
     for i, value in enumerate(seq):
         m = 1 + (i + 1) * c
-        # CRT merge of b = value (mod m) into the running solution.
-        try:
-            inv = pow(modulus % m, -1, m)
-        except ValueError:
-            raise AssertionError("moduli are not pairwise coprime") from None
-        b = b + modulus * (((value - b) * inv) % m)
-        modulus *= m
-    return BetaPair(b % modulus, c)
+        a = pow(i + 1, n + 1, m) * quotient * sign_binomial % m
+        level.append((value * a % m, m))
+        sign_binomial = -sign_binomial * (n - i) // (i + 1)
+    while len(level) > 1:
+        merged = [
+            (left_n * right_m + right_n * left_m, left_m * right_m)
+            for (left_n, left_m), (right_n, right_m) in zip(level[::2], level[1::2])
+        ]
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    residue, modulus = level[0]
+    return BetaPair(residue % modulus, c)
 
 
 def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, int]]:
@@ -131,7 +157,9 @@ def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, in
     (the new one is the old plus a nonnegative multiple of the old
     modulus), so a c is dropped at the first merge whose residue passes
     the bound.  The first two congruences merge in closed form, one cheap
-    test per c; only the c that survive it reach gcd and pow.
+    test per c; only the c that survive it reach gcd and pow.  Once
+    2c+1 > |2(v1-v0)| that closed form stops wrapping and never decreases
+    as c grows, so the sieve ends at the first such c it drops.
     """
     _check_sequence(seq)
     if bound < 1:
@@ -145,13 +173,16 @@ def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, in
         return
     # b = v0 (mod c+1) and b = v1 (mod 2c+1): the moduli are coprime and
     # 2(c+1) = 1 (mod 2c+1), so the least b is v0 + (c+1)*(2(v1-v0) mod 2c+1).
+    # From c = |v1-v0| on, 2c+1 > |2(v1-v0)|, so the remainder is 2(v1-v0)
+    # itself, or 2c+1 plus it when negative: in both cases b grows with c.
     twice_gap = 2 * (seq[1] - v0)
-    survivors = (
-        (c, b)
-        for c in range(first, bound + 1)
-        if (b := v0 + (c + 1) * (twice_gap % (2 * c + 1))) <= bound
-    )
-    for c, residue in survivors:
+    settled = abs(seq[1] - v0)
+    for c in range(first, bound + 1):
+        residue = v0 + (c + 1) * (twice_gap % (2 * c + 1))
+        if residue > bound:
+            if c >= settled:
+                return
+            continue
         modulus = (c + 1) * (2 * c + 1)
         for i in range(2, len(seq)):
             if modulus > bound:
@@ -176,9 +207,10 @@ def enumerate_matches(seq: Sequence[int], bound: int) -> list[BetaPair]:
     """All pairs with b <= bound, 1 <= c <= bound whose beta values reproduce ``seq``.
 
     Exhaustive within the bound; sorted lexicographically by (c, b).  The
-    cost is one closed-form test per c for the first two values, CRT merges
-    only for the c they leave (each of which has a pair matching those two
-    values), and one ``BetaPair`` per match.
+    cost is one closed-form test per c for the first two values, up to the
+    c where the sieve stops, CRT merges only for the c they leave (each of
+    which has a pair matching those two values), and one ``BetaPair`` per
+    match.
     """
     return [
         BetaPair(b, c)
@@ -203,16 +235,25 @@ def next_value_distribution(seq: Sequence[int], bound: int) -> NextValueDistribu
 
     Counts b mod (1 + (n+1)*c), n = len(seq), straight over each c's
     progression of realizing b, building no pair objects: the cost is the
-    number of matches plus the sieve of ``enumerate_matches``, and memory
-    is the tally alone.
+    number of matches plus the sieve of ``enumerate_matches``.  One plain
+    loop appends the predicted values to a list that is flushed into the
+    tally every 2**16 of them, so memory is the tally plus that buffer.
     """
     factor = len(seq) + 1
-    counts = Counter(
-        chain.from_iterable(
-            map((1 + factor * c).__rmod__, range(least, bound + 1, step))
-            for c, least, step in _realizations(seq, bound)
-        )
-    )
+    counts: Counter[int] = Counter()
+    pending: list[int] = []
+    append = pending.append
+    for c, least, step in _realizations(seq, bound):
+        modulus = 1 + factor * c
+        if least + step > bound:  # a single b, as for most c
+            append(least % modulus)
+        else:
+            for b in range(least, bound + 1, step):
+                append(b % modulus)
+        if len(pending) >= _TALLY_BUFFER:
+            counts.update(pending)
+            pending.clear()
+    counts.update(pending)
     if not counts:
         raise EmptyMatchSetError(f"no pair within bound {bound} matches {list(seq)}")
     return NextValueDistribution(bound, dict(counts), sum(counts.values()))

@@ -483,7 +483,7 @@ def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
         try:
             return HorizonProvider(collapse.make_horizon_machine(parts[0], k0))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"{exc} in {spec!r}") from exc
     if kind != "uniform":
         raise ConfigError(f"unknown provider kind {kind!r} in {spec!r}")
     if not parts:
@@ -559,10 +559,11 @@ def load_universe_config(path: str | Path) -> SimSetup:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     registry = Registry()
-    for name in _config_field(path, data, "properties", list):
-        registry.register(str(name))
-    for name in _config_field(path, data, "values", list):
-        registry.register(str(name))
+    for key in ("properties", "values"):
+        for name in _config_field(path, data, key, list):
+            if not isinstance(name, str):
+                raise ConfigError(f"{path}: {key} entry {name!r} must be a string")
+            registry.register(name)
     particles = []
     for entry in _config_field(path, data, "particles", list):
         pid = entry.get("id") if isinstance(entry, dict) else None

@@ -326,3 +326,71 @@ def test_encode_rejects_moduli_that_share_a_factor(monkeypatch):
     monkeypatch.setattr(math, "factorial", lambda n: 1)
     with pytest.raises(AssertionError, match="moduli are not pairwise coprime"):
         beta_encode([0, 0, 0])
+
+
+# --- product-tree encoding and the sieve's stop, against their references ----
+
+
+def sequential_encode(seq):
+    """The CRT merge one congruence at a time into a running product."""
+    c = math.factorial(max(len(seq), max(seq)))
+    b, modulus = 0, 1
+    for i, value in enumerate(seq):
+        m = 1 + (i + 1) * c
+        b += modulus * (((value - b) * pow(modulus % m, -1, m)) % m)
+        modulus *= m
+    return BetaPair(b % modulus, c)
+
+
+def test_encode_equals_the_sequential_merge_on_random_sequences():
+    rng = random.Random(89)
+    cases = [[0], [70], [0] * 70, [1] * 70, [69] * 33]
+    for _ in range(200):
+        n = rng.randint(1, 70)
+        top = rng.choice([1, 9, 70, 150])
+        cases.append([rng.randint(0, top) for _ in range(n)])
+    for seq in cases:
+        assert beta_encode(seq) == sequential_encode(seq), seq
+
+
+def every_c_matches(seq, bound):
+    """(c, b) grid of matches: for every c up to the bound, a generic CRT merge."""
+    pairs = []
+    for c in range(1, bound + 1):
+        moduli = [1 + (i + 1) * c for i in range(len(seq))]
+        if any(value >= m for value, m in zip(seq, moduli)):
+            continue
+        b, modulus = 0, 1
+        for value, m in zip(seq, moduli):
+            g = math.gcd(modulus, m)
+            if (value - b) % g:
+                break
+            b += modulus * ((value - b) // g * pow(modulus // g, -1, m // g) % (m // g))
+            modulus *= m // g
+        else:
+            pairs += [(c, x) for x in range(b % modulus, bound + 1, modulus)]
+    return pairs
+
+
+def test_sieve_stop_equals_a_test_of_every_c():
+    rng = random.Random(97)
+    # Below c = |v1 - v0| the least b of the first two values wraps and may fall
+    # again: [0, 50] drops c = 25..48 at bound 100 and keeps c = 49 (b = 50).
+    cases = [([5, 9], 3000), ([9, 5], 3000), ([7, 7], 3000), ([7, 3], 1), ([40, 2], 25),
+             ([0, 50], 100), ([2, 90, 1], 400), ([3000, 3001], 2999), ([12, 0, 12], 3000),
+             ([0, 0], 2), ([1], 3000)]
+    for _ in range(60):
+        v0 = rng.choice([rng.randint(0, 5), rng.randint(0, 60)])
+        v1 = rng.choice([v0, v0 + rng.randint(1, 60), max(0, v0 - rng.randint(1, 60))])
+        seq = [v0, v1] + [rng.randint(0, 30) for _ in range(rng.randint(0, 2))]
+        cases.append((seq, rng.choice([1, 2, 3, rng.randint(4, 400), rng.randint(400, 3000)])))
+    for seq, bound in cases:
+        expected = every_c_matches(seq, bound)
+        assert [(p.c, p.b) for p in enumerate_matches(seq, bound)] == expected, (seq, bound)
+        tally = Counter(b % (1 + (len(seq) + 1) * c) for c, b in expected)
+        if not tally:
+            with pytest.raises(EmptyMatchSetError):
+                next_value_distribution(seq, bound)
+            continue
+        dist = next_value_distribution(seq, bound)
+        assert (dist.counts, dist.total) == (dict(tally), len(expected)), (seq, bound)

@@ -386,10 +386,14 @@ def test_beta_encode_past_the_int_digit_limit():
                          "initial": {"p": 3.9}}]}, "initial value for 'p'"),
         ({"particles": [{"id": 1.5, "providers": {"p": "uniform:constant,value=1"}}]}, "integer id"),
         ({"particles": [{"id": False, "providers": {"p": "uniform:constant,value=1"}}]}, "integer id"),
+        ({"properties": [True]}, "properties entry True"),
+        ({"properties": ["p", 5]}, "properties entry 5"),
+        ({"values": [["a"]]}, "values entry ['a']"),
     ],
     ids=[
         "steps", "window", "initial", "properties-shape", "initial-shape", "providers-shape",
         "steps-float", "window-bool", "initial-float", "id-float", "id-bool",
+        "properties-bool", "properties-int", "values-list",
     ],
 )
 def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):

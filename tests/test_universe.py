@@ -285,9 +285,13 @@ def test_parse_provider_specs():
         ("uniform:machine,file=bad.tm",
          "machine file in {spec!r}: line 1, column 1: transition before states:/alphabet:/start: headers"),
         ("uniform:constant,value=x", "bad number in {spec!r}: invalid literal for int() with base 10: 'x'"),
-        ("horizon:const=x", "invalid literal for int() with base 10: 'x'"),
+        ("horizon:const=x", "invalid literal for int() with base 10: 'x' in {spec!r}"),
+        ("horizon:parity,k0=0", "horizon must be >= 1 in {spec!r}"),
     ],
-    ids=["affine-mod-zero", "unknown-rule", "machine-parse-error", "bad-number", "horizon-const"],
+    ids=[
+        "affine-mod-zero", "unknown-rule", "machine-parse-error", "bad-number", "horizon-const",
+        "horizon-k0-zero",
+    ],
 )
 def test_provider_spec_errors_keep_their_own_text(tmp_path, spec, message):
     # Every library error is a ValueError, so an `except ValueError` meant for int()
