@@ -6,6 +6,12 @@ environment variable); every invocation additionally writes exactly one
 run-manifest record to stderr.  All output is
 deterministic: identical arguments and files give byte-identical output.
 
+A command writes its records through ``_Emitter.kind``: one writer per
+record kind, compiled once, that takes the values positionally.  A JSONL
+record then costs the text of its values, and a CSV row is spliced into
+the header's columns without parsing the record again.  A reader that
+closes stdout early ends the command with exit 1 and one manifest.
+
 ``main`` may be called any number of times in one process.  It builds the
 parser on its first call (not at import) and reuses it; ``GU_FORMAT`` is
 read at every call.  On 2 vCPUs under Python 3.11, building and using a
@@ -18,13 +24,16 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 from bisect import bisect_left
 from contextlib import ExitStack, closing
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -88,45 +97,124 @@ def output_format(text: str) -> str:
 # json.dumps(record, sort_keys=True) builds an encoder per call; this one is built once.
 _encode = json.JSONEncoder(sort_keys=True).encode
 
+# The JSON text of a value of each exact type; any other type takes ``_encode``.
+_JSON_TEXT = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+# The CSV spool holds one record a line: its kind id, then its fields, each after
+# _SEP.  A field keeps _ESC, _SEP and newlines as _ESC and a digit, and the rows
+# written from the spool turn them back.
+_SEP, _ESC = "\x1f", "\x1b"
+_PROTECT = str.maketrans({_ESC: _ESC + "0", _SEP: _ESC + "1", "\n": _ESC + "2"})
+_UNPROTECT = functools.partial(re.compile(_ESC + "(.)", re.S).sub, lambda m: (_ESC + _SEP + "\n")[int(m[1])])
+
+
+def _csv_str(text: str) -> str:
+    """A string field as ``csv.writer`` writes it, protected for the spool."""
+    # Six `in` tests scan at memchr speed; a regular expression class took 5 ns a character.
+    if not ("," in text or '"' in text or "\n" in text or "\r" in text or _ESC in text or _SEP in text):
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1].translate(_PROTECT)
+
+
+# The CSV text of a value after a JSON round trip, with None as an empty field;
+# any other type takes ``_csv_str(str(value))``.
+_CSV_TEXT = {
+    int: int.__repr__,
+    str: _csv_str,
+    bool: bool.__repr__,
+    type(None): lambda value: "",
+}
+
 
 class _Emitter:
-    """Writes each data record (a dict of JSON scalars) as soon as it exists.
+    """Writes data records of JSON scalars, through one compiled writer per record kind.
 
-    JSONL writes the record at once.  A CSV header is the sorted union of
-    the keys of every record, so CSV keeps its records in a temporary file
-    (in memory up to 1 MB, then on disk) until ``finish`` writes the header
-    and the rows; records not yet written when a command fails are dropped.
+    ``kind(*keys, **fixed)`` compiles a kind once; its writer takes the
+    values of ``keys`` positionally, and the ``fixed`` values are part of
+    the kind.  JSONL writes each record at once, as ``json.dumps(record,
+    sort_keys=True)`` would.  A CSV header is the sorted union of the keys
+    of every record written, so CSV keeps each record in a temporary file
+    (in memory up to 1 MB, then on disk) as its kind id and its fields,
+    already CSV-escaped; ``finish`` writes the header, then each row through
+    a splice into the columns built once per kind, parsing nothing.
+    Records not yet written when a command fails are dropped.
     """
 
     def __init__(self, fmt: str, out) -> None:
         self.out = out
-        self.columns: Optional[set[str]] = None
+        self.spool = None
         if fmt == "csv":
-            self.columns = set()
-            self.spool = tempfile.SpooledTemporaryFile(1 << 20, "w+", encoding="utf-8")
+            self.spool = tempfile.SpooledTemporaryFile(
+                1 << 20, "w+", encoding="utf-8", newline="\n", errors="surrogatepass"
+            )
+            self.kinds: list[dict[str, str]] = []  # per kind id: column -> "%s" or fixed text
+            self.used: list[int] = []  # the kind ids that wrote a record
 
-    def __call__(self, record: dict) -> None:
-        line = _encode(record) + "\n"
-        if self.columns is None:
-            self.out.write(line)
+    def kind(self, *keys: str, **fixed):
+        """The writer of records with ``keys`` (in this order) and the ``fixed`` values."""
+        if len({*keys, *fixed}) != len(keys) + len(fixed):
+            raise ValueError(f"a record kind repeats a key: {keys} {sorted(fixed)}")
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if self.spool is None:
+            table, other = _JSON_TEXT, _encode
         else:
-            self.columns.update(record)
-            self.spool.write(line)
+            table, other = _CSV_TEXT, lambda value: _csv_str(str(value))
+        cells = dict.fromkeys(keys, "%s")
+        for key, value in fixed.items():
+            cells[key] = table.get(type(value), other)(value).replace("%", "%%")
+        if self.spool is None:
+            template = ", ".join(
+                encode_basestring_ascii(key).replace("%", "%%") + ": " + cells[key] for key in sorted(cells)
+            )
+            template = "{" + template + "}\n"
+            sink = self.out.write
+        else:
+            kid = len(self.kinds)
+            self.kinds.append(cells)
+            template = str(kid) + (_SEP + "%s") * len(keys) + "\n"
+
+            def sink(line: str) -> None:  # the first record of a kind puts its keys in the header
+                nonlocal sink
+                self.used.append(kid)
+                sink = self.spool.write
+                sink(line)
+
+        text = table.get
+
+        def write(*values) -> None:
+            sink(template % tuple([text(type(values[i]), other)(values[i]) for i in order]))
+
+        return write
 
     def finish(self) -> None:
         """Write what is still held: the CSV header and rows."""
-        if self.columns is None:
+        if self.spool is None:
             return
-        columns = sorted(self.columns)
-        writer = csv.writer(self.out, lineterminator="\n")
-        writer.writerow(columns)
+        columns = sorted({key for kid in self.used for key in self.kinds[kid]})
+        csv.writer(self.out, lineterminator="\n").writerow(columns)
+        # "%.0s" takes the kind id that starts a spooled line and writes nothing of it.
+        splices = {
+            str(kid): "%.0s" + ",".join([self.kinds[kid].get(col, "") for col in columns]) + "\n"
+            for kid in self.used
+        }
+        write = self.out.write
         self.spool.seek(0)
         for line in self.spool:
-            record = json.loads(line)
-            writer.writerow(["" if record.get(col) is None else record.get(col) for col in columns])
+            parts = line[:-1].split(_SEP)
+            row = splices[parts[0]] % tuple(parts)
+            if _ESC in row:
+                row = _UNPROTECT(row)
+            write(row if row != "\n" else '""\n')  # as csv.writer writes one empty field
 
     def close(self) -> None:
-        if self.columns is not None:
+        if self.spool is not None:
             self.spool.close()
 
 
@@ -216,7 +304,7 @@ class _TraceView:
         self.syms = [tape[cell] for cell in self.cells]
         self._renumber()
         self.head = runner.head
-        self.emit = emit
+        self.visit = emit.kind("head", "state", "step", "tape", record="visit")
 
     def _renumber(self) -> None:
         shift = self.cells[0] if self.cells else 0
@@ -243,15 +331,7 @@ class _TraceView:
             else:
                 self._renumber()
         shift = cells[0] if cells else runner.head
-        self.emit(
-            {
-                "record": "visit",
-                "step": runner.steps,
-                "state": runner.state,
-                "head": runner.head - shift,
-                "tape": " ".join(self.tokens),
-            }
-        )
+        self.visit(runner.head - shift, runner.state, runner.steps, " ".join(self.tokens))
 
 
 def _resolve_config(name: str, stack: ExitStack) -> Path:
@@ -284,28 +364,16 @@ def cmd_run(args: argparse.Namespace, emit: _Emitter) -> _Result:
     except MalformedIDError as exc:
         raise CliError(f"{args.input}: {exc}") from exc
     if isinstance(outcome, Halted):
-        emit(
-            {
-                "record": "outcome",
-                "kind": "halted",
-                "steps": outcome.steps,
-                "ones": count_symbols(outcome.final_id),
-            }
-        )
+        halted = emit.kind("steps", "ones", record="outcome", kind="halted")
+        halted(outcome.steps, count_symbols(outcome.final_id))
         status, summary = EXIT_OK, f"halted steps={outcome.steps}"
     elif isinstance(outcome, LoopDetected):
-        emit(
-            {
-                "record": "outcome",
-                "kind": "loop-detected",
-                "first_repeat_step": outcome.first_repeat_step,
-                "period": outcome.period,
-            }
-        )
+        loop = emit.kind("first_repeat_step", "period", record="outcome", kind="loop-detected")
+        loop(outcome.first_repeat_step, outcome.period)
         status = EXIT_LOOP
         summary = f"loop-detected step={outcome.first_repeat_step} period={outcome.period}"
     else:
-        emit({"record": "outcome", "kind": "budget-exceeded", "budget": outcome.budget})
+        emit.kind("budget", record="outcome", kind="budget-exceeded")(outcome.budget)
         status, summary = EXIT_BUDGET, f"budget-exceeded budget={outcome.budget}"
     inputs = {
         "machine": os.path.abspath(args.machine),
@@ -320,7 +388,7 @@ def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> _Result:
     if args.beta_command == "encode":
         seq = _parse_naturals(args.sequence)
         pair = beta.beta_encode(seq)
-        emit({"record": "pair", "b": pair.b, "c": pair.c})
+        emit.kind("b", "c", record="pair")(pair.b, pair.c)
         inputs = {"sequence": seq}
         summary = f"b={pair.b} c={pair.c}"
     elif args.beta_command == "eval":
@@ -330,38 +398,33 @@ def cmd_beta(args: argparse.Namespace, emit: _Emitter) -> _Result:
         except ValueError as exc:
             raise CliError(f"bad pair {args.pair!r} (use b,c): {exc}") from exc
         value = beta.beta_eval(pair, args.index)
-        emit({"record": "value", "i": args.index, "value": value})
+        emit.kind("i", "value", record="value")(args.index, value)
         inputs = {"pair": [b, c], "index": args.index}
         summary = f"value={value}"
     elif args.beta_command == "matches":
         seq = _parse_naturals(args.sequence)
         pairs = beta.enumerate_matches(seq, args.bound)
+        write = emit.kind("b", "c", record="pair")
         for p in pairs:
-            emit({"record": "pair", "b": p.b, "c": p.c})
+            write(p.b, p.c)
         inputs = {"sequence": seq, "bound": args.bound}
         summary = f"{len(pairs)} matching pairs"
     elif args.beta_command == "predict":
         seq = _parse_naturals(args.sequence)
         dist = beta.next_value_distribution(seq, args.bound)
         frequencies = dist.frequencies()
+        write = emit.kind("value", "count", "total", "frequency", record="prediction")
         for value, freq in frequencies.items():
-            emit(
-                {
-                    "record": "prediction",
-                    "value": value,
-                    "count": dist.counts[value],
-                    "total": dist.total,
-                    "frequency": str(freq),
-                }
-            )
+            write(value, dist.counts[value], dist.total, str(freq))
         inputs = {"sequence": seq, "bound": args.bound}
         summary = f"{len(frequencies)} predicted values over {dist.total} pairs"
     else:
         first = _parse_tagged(args.first)
         second = _parse_tagged(args.second)
         merged = beta.superpose(first, second)
+        write = emit.kind("tag", "value", record="entry")
         for t, v in merged.entries:
-            emit({"record": "entry", "tag": t, "value": v})
+            write(t, v)
         inputs = {"first": args.first, "second": args.second}
         summary = f"{len(merged)} entries"
     return EXIT_OK, inputs, summary
@@ -388,37 +451,21 @@ def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> _Result:
         )
         resolved.append({"machine": os.path.abspath(path), "accept": predicate})
 
+    write = emit.kind("rank", "result", "step", "task", "trial", record="event")
+
     def observer(event: dovetail.SchedulerEvent) -> None:
-        emit(
-            {
-                "record": "event",
-                "step": event.global_step,
-                "rank": event.rank,
-                "task": event.task_id,
-                "trial": event.trial,
-                "result": event.result,
-            }
-        )
+        write(event.rank, event.result, event.global_step, event.task_id, event.trial)
 
     outcome = dovetail.dovetail(tasks, args.sub_budget, args.global_budget, observer)
     if isinstance(outcome, dovetail.FirstSuccess):
-        emit(
-            {
-                "record": "outcome",
-                "kind": "first-success",
-                "task": outcome.task_id,
-                "trial": outcome.trial,
-                "steps": outcome.evidence.steps,
-            }
-        )
+        success = emit.kind("task", "trial", "steps", record="outcome", kind="first-success")
+        success(outcome.task_id, outcome.trial, outcome.evidence.steps)
         summary = f"first-success task={outcome.task_id} trial={outcome.trial}"
     elif isinstance(outcome, dovetail.AllExhausted):
-        emit({"record": "outcome", "kind": "all-exhausted"})
+        emit.kind(record="outcome", kind="all-exhausted")()
         summary = "all-exhausted"
     else:
-        emit(
-            {"record": "outcome", "kind": "global-budget-exceeded", "budget": outcome.global_budget}
-        )
+        emit.kind("budget", record="outcome", kind="global-budget-exceeded")(outcome.global_budget)
         summary = "global-budget-exceeded"
     inputs = {"tasks": resolved, "sub_budget": args.sub_budget, "global_budget": args.global_budget}
     return EXIT_OK, inputs, summary
@@ -431,21 +478,30 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
     steps = args.steps if args.steps is not None else setup.steps
     window = args.window if args.window is not None else setup.window
     u = setup.universe
-    names = {}
-    for p in u.particles:
-        for k in p.providers:
-            name = u.registry.name_of(k) or str(k)
-            # property names must not clobber the fixed record columns
-            names[k] = f"prop_{name}" if name in ("record", "t", "particle") else name
+    names: dict[int, str] = {}  # property number -> column
+    owners: dict[str, str] = {}  # column -> property name
+    for k in sorted({k for p in u.particles for k in p.providers}):
+        name = u.registry.name_of(k) or str(k)
+        # property names must not clobber the fixed record columns
+        column = f"prop_{name}" if name in ("record", "t", "particle") else name
+        if column in owners:
+            raise universe.ConfigError(
+                f"{config_path}: properties {owners[column]!r} and {name!r} "
+                f"both map to the column {column!r}"
+            )
+        names[k], owners[column] = column, name
+    # A particle's signature values come in the sorted order of its property numbers.
+    rows = [
+        emit.kind("t", "particle", *[names[k] for k in sorted(p.providers)], record="signature")
+        for p in u.particles
+    ]
     series: dict[tuple[int, int], list[Optional[int]]] = {}
     for t in range(steps):
-        for particle in u.particles:
+        for particle, row in zip(u.particles, rows):
             sig = universe.signature_at(u, particle.id, t)
-            record: dict = {"record": "signature", "t": t, "particle": particle.id}
             for k, value in sig.values.items():
-                record[names[k]] = "horizon-exceeded" if value is None else value
                 series.setdefault((particle.id, k), []).append(value)
-            emit(record)
+            row(t, particle.id, *["horizon-exceeded" if v is None else v for v in sig.values.values()])
     report = universe.check_predictability_obstruction(u)
     verdicts: dict[str, list[str]] = {"predictable": [], "random": [], "undetermined": [], "horizon-limited": []}
     for (pid, k), values in sorted(series.items()):
@@ -460,21 +516,18 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
             verdicts["random"].append(label)
         else:
             verdicts["undetermined"].append(label)
-    emit(
-        {
-            "record": "report",
-            "classification": report.classification.value,
-            "particles": len(u.particles),
-            "fundamental": " ".join(str(p) for p in report.fundamental_particles),
-            "initial_materialized": " ".join(
-                str(p.particle) for p in report.particles if p.initial_materialized
-            ),
-            "predictable": " ".join(verdicts["predictable"]),
-            "random": " ".join(verdicts["random"]),
-            "undetermined": " ".join(verdicts["undetermined"]),
-            "horizon_limited": " ".join(verdicts["horizon-limited"]),
-            "window": window,
-        }
+    fields = ("classification", "particles", "fundamental", "initial_materialized", "predictable",
+              "random", "undetermined", "horizon_limited", "window")
+    emit.kind(*fields, record="report")(
+        report.classification.value,
+        len(u.particles),
+        " ".join(str(p) for p in report.fundamental_particles),
+        " ".join(str(p.particle) for p in report.particles if p.initial_materialized),
+        " ".join(verdicts["predictable"]),
+        " ".join(verdicts["random"]),
+        " ".join(verdicts["undetermined"]),
+        " ".join(verdicts["horizon-limited"]),
+        window,
     )
     inputs = {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window}
     return EXIT_OK, inputs, f"classification={report.classification.value}"
@@ -483,46 +536,29 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
 def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> _Result:
     hm = collapse.make_horizon_machine(args.pred, args.k)
     measured = collapse.measure(hm, args.measure) if args.measure is not None else hm
+    write = emit.kind("n", "before", "after", record="eval")
     for n in _parse_range(args.eval):
         before = collapse.evaluate(hm, n)
         after = collapse.evaluate(measured, n)
-        emit(
-            {
-                "record": "eval",
-                "n": n,
-                "before": "loop" if isinstance(before, LoopDetected) else before,
-                "after": "loop" if isinstance(after, LoopDetected) else after,
-            }
+        write(
+            n,
+            "loop" if isinstance(before, LoopDetected) else before,
+            "loop" if isinstance(after, LoopDetected) else after,
         )
-    emit(
-        {
-            "record": "horizons",
-            "before": hm.horizon,
-            "after": measured.horizon,
-            "history": " ".join(str(k) for k in measured.history),
-        }
-    )
+    horizons = emit.kind("before", "after", "history", record="horizons")
+    horizons(hm.horizon, measured.horizon, " ".join(str(k) for k in measured.history))
     inputs = {"pred": args.pred, "k": args.k, "measure": args.measure, "eval": args.eval}
     return EXIT_OK, inputs, f"horizon {hm.horizon} -> {measured.horizon}"
 
 
 def cmd_corpus(args: argparse.Namespace, emit: _Emitter) -> _Result:
     results = corpus.verify_corpus()
+    write = emit.kind("machine", "expected", "observed", "passed", "detail", record="verify")
     for r in results:
-        emit(
-            {
-                "record": "verify",
-                "machine": r.name,
-                "expected": r.expected,
-                "observed": r.observed,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-        )
+        write(r.name, r.expected, r.observed, r.passed, r.detail)
     passed = sum(1 for r in results if r.passed)
-    emit(
-        {"record": "summary", "passed": passed, "failed": len(results) - passed, "total": len(results)}
-    )
+    summary = emit.kind("passed", "failed", "total", record="summary")
+    summary(passed, len(results) - passed, len(results))
     status = EXIT_OK if passed == len(results) else EXIT_ERROR
     return status, {"machines": len(results)}, f"{passed}/{len(results)} passed"
 
@@ -620,11 +656,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with closing(_Emitter(args.format, sys.stdout)) as emit:
             status, inputs, summary = args.func(args, emit)
             emit.finish()
+        sys.stdout.flush()  # a reader that left early shows here, not in the exit flush
         _manifest(args, inputs, summary)
         return status
     except GodelsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _manifest(args, {}, f"error: {exc}")
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader of stdout closed it.  Point the process's fd 1 at the null
+        # device, so that the exit flush of what is still buffered cannot fail
+        # again (Python's signal docs, "Note on SIGPIPE"); an in-process caller's
+        # stdout is its own.
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        _manifest(args, {}, "error: stdout closed by its reader")
         return EXIT_ERROR
     finally:
         if digit_limit is not None:

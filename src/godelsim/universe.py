@@ -539,6 +539,14 @@ def _config_int(path: Path, what: str, value) -> int:
 
 
 _JSON_KINDS = {list: "a list", dict: "an object"}
+_TOP_KEYS = {"properties", "values", "particles", "steps", "window"}
+_PARTICLE_KEYS = {"id", "providers", "initial"}
+
+
+def _known_keys(path: Path, data: dict, known: set[str], where: str = "") -> None:
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r}{where}")
 
 
 def _config_field(path: Path, data: dict, key: str, kind: type, where: str = ""):
@@ -558,6 +566,7 @@ def load_universe_config(path: str | Path) -> SimSetup:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _known_keys(path, data, _TOP_KEYS)
     registry = Registry()
     for key in ("properties", "values"):
         for name in _config_field(path, data, key, list):
@@ -569,15 +578,23 @@ def load_universe_config(path: str | Path) -> SimSetup:
         pid = entry.get("id") if isinstance(entry, dict) else None
         if not _is_int(pid):
             raise ConfigError(f"{path}: particle entry needs an integer id")
-        providers: dict[int, Provider] = {}
         where = f" of particle {pid}"
+        _known_keys(path, entry, _PARTICLE_KEYS, where)
+        providers: dict[int, Provider] = {}
         for prop_name, spec in _config_field(path, entry, "providers", dict, where).items():
-            number = registry.number_of(str(prop_name))
+            number = registry.number_of(prop_name)
             if number is None:
                 raise ConfigError(f"{path}: provider for unregistered property {prop_name!r}")
-            providers[number] = parse_provider_spec(str(spec), path.parent)
+            if not isinstance(spec, str):
+                raise ConfigError(
+                    f"{path}: provider for {prop_name!r}{where} must be a string, got {spec!r}"
+                )
+            try:
+                providers[number] = parse_provider_spec(spec, path.parent)
+            except GodelsimError as exc:
+                raise ConfigError(f"{path}: provider for {prop_name!r}{where}: {exc}") from exc
         for prop_name, declared in _config_field(path, entry, "initial", dict, where).items():
-            number = registry.number_of(str(prop_name))
+            number = registry.number_of(prop_name)
             if number is None or number not in providers:
                 raise ConfigError(f"{path}: initial value for unprovided property {prop_name!r}")
             actual = provider_value(providers[number], 0)

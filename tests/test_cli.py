@@ -262,6 +262,21 @@ def test_property_named_like_a_fixed_column_is_prefixed(tmp_path):
     assert rows[0]["prop_t"] == 9 and rows[0]["t"] == 0
 
 
+def test_properties_that_map_to_one_column_are_a_config_error(tmp_path):
+    # "record" becomes the column prop_record, which the property prop_record also names.
+    config = tmp_path / "collide.json"
+    providers = {"record": "uniform:constant,value=1", "prop_record": "uniform:constant,value=2"}
+    config.write_text(
+        json.dumps({"properties": ["record", "prop_record"], "particles": [{"id": 1, "providers": providers}]}),
+        encoding="utf-8",
+    )
+    for fmt in ("jsonl", "csv"):
+        code, out, err = invoke("--format", fmt, "universe", "sim", "--config", str(config))
+        assert_one_line_error(code, out, err)
+        line = err.splitlines()[0]
+        assert str(config) in line and "'record'" in line and "'prop_record'" in line
+
+
 def assert_one_line_error(code, out, err):
     assert code == 1 and out == ""
     lines = err.splitlines()
@@ -335,10 +350,15 @@ def test_out_of_range_naturals_are_clean_errors(argv, name):
         "horizon:parity,k0=x",
         "uniform:machine,file=missing.tm",
         f"uniform:machine,file={corpus_path('halt0.tm')},budget=-1",
+        "horizon:parity,k0=0",
+        "uniform:bogus",
+        5,
+        ["uniform:constant,value=1"],
     ],
     ids=[
         "affine-not-a-number", "affine-mod-zero", "table-empty-value",
         "horizon-k0", "machine-missing-file", "machine-negative-budget",
+        "horizon-k0-zero", "uniform-unknown-rule", "spec-int", "spec-list",
     ],
 )
 def test_bad_provider_spec_is_a_clean_error(tmp_path, spec):
@@ -349,7 +369,9 @@ def test_bad_provider_spec_is_a_clean_error(tmp_path, spec):
     )
     code, out, err = invoke("universe", "sim", "--config", str(config))
     assert_one_line_error(code, out, err)
-    assert repr(spec) in err.splitlines()[0]
+    line = err.splitlines()[0]
+    assert repr(spec) in line
+    assert line.startswith(f"error: {config}: provider for 'p' of particle 1")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
@@ -389,11 +411,14 @@ def test_beta_encode_past_the_int_digit_limit():
         ({"properties": [True]}, "properties entry True"),
         ({"properties": ["p", 5]}, "properties entry 5"),
         ({"values": [["a"]]}, "values entry ['a']"),
+        ({"propertiez": ["q"]}, "unknown key 'propertiez'"),
+        ({"particles": [{"id": 1, "provider": {"p": "uniform:constant,value=1"}}]},
+         "unknown key 'provider' of particle 1"),
     ],
     ids=[
         "steps", "window", "initial", "properties-shape", "initial-shape", "providers-shape",
         "steps-float", "window-bool", "initial-float", "id-float", "id-bool",
-        "properties-bool", "properties-int", "values-list",
+        "properties-bool", "properties-int", "values-list", "top-level-key", "particle-key",
     ],
 )
 def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):
@@ -450,6 +475,28 @@ def test_help_still_exits_zero_without_a_manifest():
         cli.main(["run", "--help"])
     assert info.value.code == 0
     assert out.getvalue().startswith("usage: gu run") and err.getvalue() == ""
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_one_and_one_manifest():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "godelsim.cli", "run", corpus_path("grow_right.tm"), "--budget", "5000"]
+    proc = subprocess.Popen(
+        [*argv, "--trace"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert json.loads(first)["record"] == "visit"
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    manifest = json.loads(lines[0])
+    assert manifest["record"] == "manifest" and manifest["subcommand"] == "run"
+    assert manifest["outcome_summary"].startswith("error: ")
 
 
 # --- one parser per process ------------------------------------------------------
@@ -684,6 +731,85 @@ def test_run_trace_matches_library_records_on_random_machines(tmp_path):
             assert (code, out) == old_run_output(machine, start, budget, fmt), (text, argv)
 
 
+# --- record kinds against json.dumps and the CSV of a JSON round trip -------------
+
+
+def csv_round_trip(records):
+    """CSV as every record once came out: ``csv.writer`` over ``json.loads(json.dumps(r))``."""
+    out = io.StringIO()
+    columns = sorted({key for r in records for key in r})
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for r in records:
+        r = json.loads(json.dumps(r, sort_keys=True))
+        writer.writerow(["" if r.get(col) is None else r.get(col) for col in columns])
+    return out.getvalue()
+
+
+KEYS = ["record", "a", "b", "step", "k,1", 'q"t', "\u00e9t\u00e9", "n\r\nl", "%s", "x y", "\x1b", "\x1f"]
+STRINGS = ["", "visit", "a,b", 'say "hi"', "\r\n", "line\nbreak", "caf\u00e9 \u2603", "%s %d",
+           "\x1b2", "\x1f", "\t", " lead", "\x00", "\ud800"]
+
+
+def random_value(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 7, -(10**30), 2**64])
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.randrange(10 ** rng.randrange(4300, 5000))
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    return "".join(rng.choice(STRINGS) for _ in range(rng.randrange(4)))
+
+
+def test_kind_writers_match_json_dumps_and_the_csv_round_trip():
+    rng = random.Random(1703)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # as main lifts it
+    try:
+        for _ in range(300):
+            kinds = []
+            for _ in range(rng.randrange(1, 5)):
+                chosen = rng.sample(KEYS, rng.randrange(1, 5))
+                split = rng.randrange(len(chosen) + 1)
+                fixed = {key: random_value(rng) for key in chosen[split:]}
+                kinds.append((chosen[:split], fixed))
+            records, calls = [], []
+            for _ in range(rng.randrange(8)):
+                index = rng.randrange(len(kinds))  # a kind may write no record at all
+                keys, fixed = kinds[index]
+                values = [random_value(rng) for _ in keys]
+                records.append({**dict(zip(keys, values)), **fixed})
+                calls.append((index, values))
+            for fmt in ("jsonl", "csv"):
+                out = io.StringIO()
+                emit = cli._Emitter(fmt, out)
+                writers = [emit.kind(*keys, **fixed) for keys, fixed in kinds]
+                for index, values in calls:
+                    writers[index](*values)
+                emit.finish()
+                emit.close()
+                if fmt == "jsonl":
+                    expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+                else:
+                    expected = csv_round_trip(records)
+                assert out.getvalue() == expected, (fmt, kinds, calls)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_a_kind_with_a_repeated_key_is_refused():
+    emit = cli._Emitter("jsonl", io.StringIO())
+    with pytest.raises(ValueError):
+        emit.kind("a", "a")
+    with pytest.raises(ValueError):
+        emit.kind("a", a=1)
+
+
 # --- streamed output: memory set by the tape, not by the records written ---------
 
 
@@ -710,6 +836,15 @@ def test_run_trace_memory_grows_with_the_tape_not_the_output():
     # The tape and the seen table grow linearly (a ratio near 2); records held
     # until the end grow as steps x tape (near 4).
     assert peak(2000) < 3 * peak(1000)
+
+
+def test_csv_run_trace_memory_grows_with_the_tape_not_the_output():
+    def run(budget):
+        return ("--format", "csv", "run", corpus_path("grow_right.tm"), "--budget", str(budget), "--trace")
+
+    # Both outputs pass the 1 MB that the spool holds in memory, so both rows go to disk.
+    assert len(invoke(*run(1000))[1]) > 2 * (1 << 20)
+    assert peak_traced(*run(2000)) < 3 * peak_traced(*run(1000))
 
 
 def test_dovetail_memory_is_flat_in_the_global_budget():
