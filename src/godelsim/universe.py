@@ -6,7 +6,10 @@ property" has a designated answer.  Each particle carries one value provider per
 property: either a uniform rule that answers every interaction index by
 a terminating computation, or a horizon machine that only answers below
 its current horizon.  Queries never diverge; they return a value, the
-vacuous marker, or the horizon marker.
+vacuous marker, or the horizon marker.  Values are naturals (Godel numbers).
+
+A JSON config is checked in one pass against two tables, ``_FIELDS`` for its
+keys and ``_RULES`` for its provider specs, and every error names the file.
 """
 
 from __future__ import annotations
@@ -456,105 +459,96 @@ class SimSetup:
     window: int
 
 
-def _parse_params(parts: list[str], spec: str) -> dict[str, str]:
-    params: dict[str, str] = {}
-    for part in parts:
-        if "=" not in part:
-            raise ConfigError(f"bad parameter {part!r} in provider spec {spec!r}")
-        key, value = part.split("=", 1)
-        params[key] = value
-    return params
+# Each uniform rule: its class, then its parameters in the order the class takes
+# them, as name: (type, default, least).  A parameter with no default is required,
+# and least bounds every integer it holds (None: any integer).  Values are
+# naturals, so constant, counter and table values are >= 0; affine values are
+# residues mod >= 1 and machine values are counts of ones, so a, b and the affine
+# start may be any integer.  A tuple is read as v0|v1|..., a Machine from a file
+# named relative to the config.
+_RULES = {
+    "constant": (ConstantRule, {"value": (int, None, 0)}),
+    "counter": (CounterRule, {"start": (int, 0, 0), "step": (int, 1, 0)}),
+    "affine": (AffineRule, {"a": (int, None, None), "b": (int, None, None), "mod": (int, None, 1),
+                            "start": (int, None, None)}),
+    "table": (TableRule, {"values": (tuple, None, 0)}),
+    "machine": (MachineRule, {"file": (Machine, None, None), "budget": (int, 10_000, 0)}),
+}
+# A horizon spec names its predicate, then k0; the horizon machine itself refuses k0 < 1.
+_HORIZON = (collapse.make_horizon_machine, {"k0": (int, 1, None)})
 
 
 def parse_provider_spec(spec: str, base_dir: Optional[Path] = None) -> Provider:
     """Parse ``uniform:<rule>,k=v,...`` or ``horizon:<predicate>,k0=<n>``."""
     kind, _, rest = spec.partition(":")
-    parts = [p for p in rest.split(",") if p]
+    name, *parts = rest.split(",")
     if kind == "horizon":
-        if not parts:
-            raise ConfigError(f"horizon spec needs a predicate: {spec!r}")
-        params = _parse_params(parts[1:], spec)
-        try:
-            k0 = int(params.pop("k0", "1"))
-        except ValueError as exc:
-            raise ConfigError(f"bad k0 in {spec!r}: {exc}") from exc
-        if params:
-            raise ConfigError(f"unknown horizon parameters {sorted(params)} in {spec!r}")
-        try:
-            return HorizonProvider(collapse.make_horizon_machine(parts[0], k0))
-        except ValueError as exc:
-            raise ConfigError(f"{exc} in {spec!r}") from exc
-    if kind != "uniform":
+        (make, params), args = _HORIZON, [name]
+    elif kind != "uniform":
         raise ConfigError(f"unknown provider kind {kind!r} in {spec!r}")
-    if not parts:
-        raise ConfigError(f"uniform spec needs a rule: {spec!r}")
-    rule_name, params = parts[0], _parse_params(parts[1:], spec)
-    try:
-        if rule_name == "constant":
-            rule: Rule = ConstantRule(int(params.pop("value")))
-        elif rule_name == "counter":
-            rule = CounterRule(int(params.pop("start", "0")), int(params.pop("step", "1")))
-        elif rule_name == "affine":
-            rule = AffineRule(
-                int(params.pop("a")),
-                int(params.pop("b")),
-                int(params.pop("mod")),
-                int(params.pop("start")),
-            )
-            if rule.modulus < 1:
-                raise ConfigError(f"affine rule needs mod >= 1 in {spec!r}")
-        elif rule_name == "table":
-            rule = TableRule(tuple(int(v) for v in params.pop("values").split("|")))
-        elif rule_name == "machine":
-            path = Path(params.pop("file"))
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            rule = MachineRule(load_machine_file(path), int(params.pop("budget", "10000")))
-            if rule.budget < 0:
-                raise ConfigError(f"machine rule needs budget >= 0 in {spec!r}")
+    elif name in _RULES:
+        (make, params), args = _RULES[name], []
+    else:
+        raise ConfigError(f"unknown uniform rule {name!r} in {spec!r}")
+    given: dict[str, str] = {}
+    for part in filter(None, parts):
+        key, eq, text = part.partition("=")
+        if not eq:
+            raise ConfigError(f"bad parameter {part!r} in provider spec {spec!r}")
+        if key in given or key not in params:
+            raise ConfigError(f"{'repeated' if key in given else 'unknown'} parameter {key!r} in {spec!r}")
+        given[key] = text
+    for key, (form, default, least) in params.items():
+        text = given.get(key)
+        if text is None:
+            if default is None:
+                raise ConfigError(f"missing parameter {key!r} in {spec!r}")
+            args.append(default)
+        elif form is Machine:
+            try:
+                args.append(load_machine_file((base_dir or Path()) / text))
+            except (OSError, MachineParseError) as exc:
+                raise ConfigError(f"machine file in {spec!r}: {exc}") from exc
         else:
-            raise ConfigError(f"unknown uniform rule {rule_name!r} in {spec!r}")
-    except KeyError as exc:
-        raise ConfigError(f"missing parameter {exc.args[0]!r} in {spec!r}") from exc
-    except (OSError, MachineParseError) as exc:
-        raise ConfigError(f"machine file in {spec!r}: {exc}") from exc
-    except GodelsimError:
-        raise  # already says what is wrong; the next clause is for int() failures
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {spec!r}: {exc}") from exc
-    if params:
-        raise ConfigError(f"unknown parameters {sorted(params)} in {spec!r}")
-    return UniformProvider(rule)
+            try:
+                value = tuple(map(int, text.split("|"))) if form is tuple else int(text)
+            except ValueError as exc:
+                raise ConfigError(f"bad number in {spec!r}: {exc}") from exc
+            if least is not None and (min(value) if form is tuple else value) < least:
+                raise ConfigError(f"{name} rule needs {key} >= {least} in {spec!r}")
+            args.append(value)
+    try:
+        made = make(*args)
+    except GodelsimError as exc:  # a horizon machine's predicate or k0
+        raise ConfigError(f"{exc} in {spec!r}") from exc
+    return HorizonProvider(made) if kind == "horizon" else UniformProvider(made)
 
 
-def _is_int(value) -> bool:
-    """Whether a JSON value is an integer: not a float, a string or a boolean."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# Each JSON level of a config: the keys it may hold, as key: (JSON type, default,
+# least).  An absent key takes its default, and least bounds an integer (None: any).
+_FIELDS = {
+    "top": {"properties": (list, [], None), "values": (list, [], None), "particles": (list, [], None),
+            "steps": (int, 5, 0), "window": (int, 3, 1)},
+    "particle": {"id": (int, None, None), "providers": (dict, {}, None), "initial": (dict, {}, None)},
+}
+_JSON_NAMES = {int: "an integer", list: "a list", dict: "an object"}
 
 
-def _config_int(path: Path, what: str, value) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"{path}: {what} must be an integer, got {value!r}")
-    return value
-
-
-_JSON_KINDS = {list: "a list", dict: "an object"}
-_TOP_KEYS = {"properties", "values", "particles", "steps", "window"}
-_PARTICLE_KEYS = {"id", "providers", "initial"}
-
-
-def _known_keys(path: Path, data: dict, known: set[str], where: str = "") -> None:
-    unknown = sorted(set(data) - known)
+def _fields(path: Path, data: dict, level: str, where: str = "") -> list:
+    """The values of ``data`` for the keys of ``level``, in table order, each checked."""
+    fields = _FIELDS[level]
+    unknown = data.keys() - fields.keys()
     if unknown:
-        raise ConfigError(f"{path}: unknown key {unknown[0]!r}{where}")
-
-
-def _config_field(path: Path, data: dict, key: str, kind: type, where: str = ""):
-    """``data[key]``, empty when absent; a JSON list or object, as ``kind`` says."""
-    value = data.get(key, kind())
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}: {key}{where} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
+        raise ConfigError(f"{path}: unknown key {min(unknown)!r}{where}")
+    values = []
+    for key, (kind, default, least) in fields.items():
+        value = data.get(key, default)
+        if type(value) is not kind:  # JSON true is no integer, nor 2.0
+            raise ConfigError(f"{path}: expected {_JSON_NAMES[kind]} {key}{where}, got {value!r}")
+        if least is not None and value < least:
+            raise ConfigError(f"{path}: expected {key}{where} >= {least}, got {value}")
+        values.append(value)
+    return values
 
 
 def load_universe_config(path: str | Path) -> SimSetup:
@@ -564,51 +558,48 @@ def load_universe_config(path: str | Path) -> SimSetup:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise ConfigError(f"{path}: top level must be an object")
-    _known_keys(path, data, _TOP_KEYS)
+    properties, values, entries, steps, window = _fields(path, data, "top")
+    base_dir = path.parent
     registry = Registry()
-    for key in ("properties", "values"):
-        for name in _config_field(path, data, key, list):
-            if not isinstance(name, str):
-                raise ConfigError(f"{path}: {key} entry {name!r} must be a string")
+    for key, names in (("properties", properties), ("values", values)):
+        for name in names:
+            # A lone surrogate such as "\ud800" has no UTF-8 form, so no column could name it.
+            if type(name) is not str or not name or (
+                not name.isascii() and name.encode("utf-8", "ignore").decode() != name
+            ):
+                raise ConfigError(f"{path}: {key} entry {name!r} must be a non-empty UTF-8 string")
             registry.register(name)
+    numbers = {name: registry.number_of(name) for name in properties}
     particles = []
-    for entry in _config_field(path, data, "particles", list):
-        pid = entry.get("id") if isinstance(entry, dict) else None
-        if not _is_int(pid):
-            raise ConfigError(f"{path}: particle entry needs an integer id")
-        where = f" of particle {pid}"
-        _known_keys(path, entry, _PARTICLE_KEYS, where)
+    for entry in entries:
+        if type(entry) is not dict:
+            raise ConfigError(f"{path}: particles entry {entry!r} must be an object")
+        where = f" of particle {entry.get('id')!r}"
+        pid, specs, initial = _fields(path, entry, "particle", where)
         providers: dict[int, Provider] = {}
-        for prop_name, spec in _config_field(path, entry, "providers", dict, where).items():
-            number = registry.number_of(prop_name)
-            if number is None:
-                raise ConfigError(f"{path}: provider for unregistered property {prop_name!r}")
-            if not isinstance(spec, str):
-                raise ConfigError(
-                    f"{path}: provider for {prop_name!r}{where} must be a string, got {spec!r}"
-                )
+        for name, spec in specs.items():
+            if name not in numbers:
+                raise ConfigError(f"{path}: provider for {name!r}{where} names no entry of properties")
+            if type(spec) is not str:
+                raise ConfigError(f"{path}: provider for {name!r}{where} must be a string, got {spec!r}")
             try:
-                providers[number] = parse_provider_spec(spec, path.parent)
+                providers[numbers[name]] = parse_provider_spec(spec, base_dir)
             except GodelsimError as exc:
-                raise ConfigError(f"{path}: provider for {prop_name!r}{where}: {exc}") from exc
-        for prop_name, declared in _config_field(path, entry, "initial", dict, where).items():
-            number = registry.number_of(prop_name)
-            if number is None or number not in providers:
-                raise ConfigError(f"{path}: initial value for unprovided property {prop_name!r}")
-            actual = provider_value(providers[number], 0)
-            if actual != _config_int(path, f"initial value for {prop_name!r}", declared):
-                raise ConfigError(
-                    f"{path}: initial value {declared} for {prop_name!r} does not match "
-                    f"the provider value {actual} at t=0"
-                )
+                raise ConfigError(f"{path}: provider for {name!r}{where}: {exc}") from exc
+        for name, declared in initial.items():
+            number = numbers.get(name)
+            if number not in providers:
+                raise ConfigError(f"{path}: initial value for unprovided property {name!r}{where}")
+            try:
+                actual = provider_value(providers[number], 0)
+            except ProviderError as exc:
+                raise ConfigError(f"{path}: initial value for {name!r}{where}: {exc}") from exc
+            if type(declared) is not int or declared != actual:
+                raise ConfigError(f"{path}: initial value for {name!r}{where} must be the provider "
+                                  f"value {actual} at t=0, got {declared!r}")
         particles.append(Particle(pid, providers))
-    ids = [p.id for p in particles]
-    if len(set(ids)) != len(ids):
+    if len({p.id for p in particles}) != len(particles):
         raise ConfigError(f"{path}: duplicate particle ids")
-    steps = _config_int(path, "steps", data.get("steps", 5))
-    window = _config_int(path, "window", data.get("window", 3))
-    if steps < 0 or window < 1:
-        raise ConfigError(f"{path}: steps must be >= 0 and window >= 1")
     return SimSetup(Universe(registry, tuple(particles)), steps, window)

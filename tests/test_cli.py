@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from godelsim import beta, cli
@@ -354,11 +355,18 @@ def test_out_of_range_naturals_are_clean_errors(argv, name):
         "uniform:bogus",
         5,
         ["uniform:constant,value=1"],
+        "uniform:constant,value=1,value=2",
+        "horizon:parity,k0=2,k0=5",
+        "uniform:constant,value=-1",
+        "uniform:counter,step=-1",
+        "uniform:table,values=1|-2",
     ],
     ids=[
         "affine-not-a-number", "affine-mod-zero", "table-empty-value",
         "horizon-k0", "machine-missing-file", "machine-negative-budget",
         "horizon-k0-zero", "uniform-unknown-rule", "spec-int", "spec-list",
+        "repeated-value", "repeated-k0", "constant-negative", "counter-negative-step",
+        "table-negative-entry",
     ],
 )
 def test_bad_provider_spec_is_a_clean_error(tmp_path, spec):
@@ -414,11 +422,17 @@ def test_beta_encode_past_the_int_digit_limit():
         ({"propertiez": ["q"]}, "unknown key 'propertiez'"),
         ({"particles": [{"id": 1, "provider": {"p": "uniform:constant,value=1"}}]},
          "unknown key 'provider' of particle 1"),
+        ({"properties": [""]}, "properties entry ''"),
+        ({"properties": ["\ud800"]}, "properties entry '\\ud800'"),
+        ({"particles": [{"id": 1, "providers": {"p": f"uniform:machine,file={corpus_path('pingpong.tm')}"},
+                         "initial": {"p": 0}}]},
+         "initial value for 'p' of particle 1: machine rule looped at t=0"),
     ],
     ids=[
         "steps", "window", "initial", "properties-shape", "initial-shape", "providers-shape",
         "steps-float", "window-bool", "initial-float", "id-float", "id-bool",
         "properties-bool", "properties-int", "values-list", "top-level-key", "particle-key",
+        "properties-empty-name", "properties-lone-surrogate", "initial-on-a-rule-that-loops-at-t0",
     ],
 )
 def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):
@@ -427,6 +441,22 @@ def test_config_value_not_an_integer_is_a_clean_error(tmp_path, config, name):
     code, out, err = invoke("universe", "sim", "--config", str(path))
     assert_one_line_error(code, out, err)
     assert name in err.splitlines()[0]
+
+
+def test_a_name_with_no_utf8_form_is_a_clean_error_in_csv(tmp_path):
+    # Refused at load, before any output: CSV used to write the name to a UTF-8 stdout
+    # and end in a UnicodeEncodeError traceback.  JSONL is a case of the test above.
+    path = tmp_path / "surrogate.json"
+    providers = {"\ud800": "uniform:constant,value=1"}
+    path.write_text(
+        json.dumps({"properties": ["\ud800"], "particles": [{"id": 1, "providers": providers}]}),
+        encoding="utf-8",
+    )
+    code, out, err = invoke("--format", "csv", "universe", "sim", "--config", str(path))
+    assert_one_line_error(code, out, err)
+    assert err.splitlines()[0] == (
+        f"error: {path}: properties entry '\\ud800' must be a non-empty UTF-8 string"
+    )
 
 
 def test_config_that_is_a_directory_is_a_clean_error(tmp_path):
@@ -660,6 +690,89 @@ def test_any_argv_gives_one_exit_code_and_one_manifest(fuzz_paths, data):
     manifests = [line for line in lines if line.startswith('{"inputs"')]
     assert len(manifests) == 1 and lines[-1] == manifests[0]
     assert json.loads(manifests[0])["record"] == "manifest"
+
+
+# --- any mutation of a shipped config: its rows and one report, or one error line --
+
+SHIPPED_CONFIGS = ["uniform_pair", "mixed", "horizon_only", "constant_world"]
+# One JSON value of each type, so that a swap can draw one of another type.
+JSON_SAMPLES = [None, True, 3, 2.5, "p", [], ["p"], {}, {"p": 1}]
+# The fixed record columns, and the column a property named "record" moves to.
+COLUMN_NAMES = ["record", "prop_record", "t", "particle"]
+
+
+def json_spots(node):
+    """``(container, key)`` for each value below ``node``, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from json_spots(child)
+
+
+def mutate_config(draw, config):
+    """Swap a value's JSON type, drop or misspell a key, make a name or an id equal
+    another, or put an int out of range.  Every int drawn is small, so runs are short."""
+    spots = list(json_spots(config))
+    parent, key = draw(st.sampled_from(spots))
+    old = parent[key]
+    leaves = [c[k] for c, k in spots if type(c[k]) in (int, str)] + [k for c, k in spots if type(k) is str]
+    texts = [on_key for on_key, text in ((True, key), (False, old)) if isinstance(text, str) and text]
+    mutation = draw(st.sampled_from(["swap", "drop", "misspell", "collide", "range"]))
+    if mutation in ("misspell", "collide") and texts:
+        on_key = draw(st.sampled_from(texts))
+        text = key if on_key else old
+        if mutation == "misspell":
+            cut = draw(st.integers(0, len(text) - 1))
+            new = text[:cut] + text[draw(st.integers(cut + 1, len(text))):]
+        else:
+            new = draw(st.sampled_from([v for v in leaves if type(v) is str] + COLUMN_NAMES))
+        if on_key:
+            parent[new] = parent.pop(key)
+        else:
+            parent[key] = new
+    elif mutation == "collide" and type(old) is int:
+        parent[key] = draw(st.sampled_from([v for v in leaves if type(v) is int]))
+    elif mutation == "swap":
+        parent[key] = draw(st.sampled_from([v for v in JSON_SAMPLES if type(v) is not type(old)]))
+    elif mutation == "drop":
+        del parent[key]
+    elif type(old) is int:
+        parent[key] = draw(st.integers(-3, 2))
+    elif isinstance(old, str) and old.startswith(("uniform:", "horizon:")):
+        runs = list(re.finditer(r"\d+", old))
+        if runs and draw(st.booleans()):
+            run = draw(st.sampled_from(runs))
+            parent[key] = old[:run.start()] + str(draw(st.integers(-3, 2))) + old[run.end():]
+        else:
+            a, b, mod, start = (draw(st.integers(-3, 2)) for _ in range(4))
+            parent[key] = f"uniform:affine,a={a},b={b},mod={mod},start={start}"
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "mutant.json"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_any_mutated_shipped_config_gives_its_rows_or_one_error_naming_it(mutant_path, data):
+    name = data.draw(st.sampled_from(SHIPPED_CONFIGS), label="config")
+    config = json.loads(resources.files("godelsim").joinpath(f"data/configs/{name}.json").read_text("utf-8"))
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        mutate_config(data.draw, config)
+    note(json.dumps(config))
+    mutant_path.write_text(json.dumps(config), encoding="utf-8")
+    fmt = data.draw(st.sampled_from(["jsonl", "csv"]), label="format")
+    code, out, err = invoke("--format", fmt, "universe", "sim", "--config", str(mutant_path))
+    if code != 0:
+        assert_one_line_error(code, out, err)
+        assert str(mutant_path) in err.splitlines()[0]
+        return
+    rows = records_of(out) if fmt == "jsonl" else list(csv.DictReader(io.StringIO(out)))
+    particles = len(config.get("particles", []))
+    assert [row["record"] for row in rows] == ["signature"] * config.get("steps", 5) * particles + ["report"]
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["record"] == "manifest"
 
 
 # --- gu run --trace against records rebuilt from the library -------------------

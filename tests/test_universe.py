@@ -348,6 +348,16 @@ def test_config_value_names_share_the_registry(tmp_path):
     assert registry.number_of("up") == 2 and registry.number_of("down") == 3
     # the constant value 2 is the number of the registered string "up"
     assert signature_query(setup.universe, 1, 0, 1) == registry.number_of("up")
+    # a value name is no property, so it takes no provider
+    stray = tmp_path / "stray.json"
+    stray.write_text(
+        '{"properties": ["x"], "values": ["red"], '
+        '"particles": [{"id": 1, "providers": {"red": "uniform:constant,value=1"}}]}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError) as info:
+        load_universe_config(stray)
+    assert str(info.value) == f"{stray}: provider for 'red' of particle 1 names no entry of properties"
 
 
 def test_repeated_queries_return_identical_results():
