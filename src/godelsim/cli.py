@@ -60,7 +60,15 @@ EXIT_BUDGET = 3
 
 
 class CliError(GodelsimError):
-    """A bad command line, or an input that no library call rejects by itself."""
+    """A bad command line, or an input that no library call rejects by itself.
+
+    ``inputs`` are the manifest's, for a command that fails once it has
+    read them.
+    """
+
+    def __init__(self, message: str, inputs: Optional[dict] = None):
+        super().__init__(message)
+        self.inputs = {} if inputs is None else inputs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -495,10 +503,20 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
         emit.kind("t", "particle", *[names[k] for k in sorted(p.providers)], record="signature")
         for p in u.particles
     ]
+    inputs = {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window}
     series: dict[tuple[int, int], list[Optional[int]]] = {}
     for t in range(steps):
         for particle, row in zip(u.particles, rows):
-            sig = universe.signature_at(u, particle.id, t)
+            try:
+                sig = universe.signature_at(u, particle.id, t)
+            except universe.ProviderError as exc:
+                # Name the provider as a load-time error does: the first, in
+                # signature order, that fails at t.
+                k = next(k for k in sorted(particle.providers) if _fails(particle.providers[k], t))
+                raise CliError(
+                    f"{config_path}: provider for {owners[names[k]]!r} of particle {particle.id!r}: {exc}",
+                    inputs,
+                ) from exc
             for k, value in sig.values.items():
                 series.setdefault((particle.id, k), []).append(value)
             row(t, particle.id, *["horizon-exceeded" if v is None else v for v in sig.values.values()])
@@ -529,8 +547,16 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
         " ".join(verdicts["horizon-limited"]),
         window,
     )
-    inputs = {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window}
     return EXIT_OK, inputs, f"classification={report.classification.value}"
+
+
+def _fails(provider: universe.Provider, t: int) -> bool:
+    """Whether ``provider`` fails at interaction ``t`` with a ``ProviderError``."""
+    try:
+        universe.provider_value(provider, t)
+    except universe.ProviderError:
+        return True
+    return False
 
 
 def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> _Result:
@@ -661,7 +687,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return status
     except GodelsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _manifest(args, {}, f"error: {exc}")
+        _manifest(args, exc.inputs if isinstance(exc, CliError) else {}, f"error: {exc}")
         return EXIT_ERROR
     except BrokenPipeError:
         # The reader of stdout closed it.  Point the process's fd 1 at the null

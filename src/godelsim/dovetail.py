@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import GodelsimError
@@ -128,7 +127,7 @@ class _TaskState:
         )
 
 
-_LiveRun = tuple[int, int, _TaskState, Runner]
+_LiveRun = tuple[int, int, _TaskState, Optional[Runner]]
 
 
 def dovetail(
@@ -141,11 +140,16 @@ def dovetail(
 
     The scheduler keeps the runs still live in rank order.  Each sweep
     steps every one of them once, then admits the next pair of the
-    diagonal enumeration: its generator is called only once the earlier
-    runs have stepped, and its run, if any, steps at the end of the same
-    sweep.  A run that halts, loops or spends its sub-budget leaves the
-    list and never emits another event, so a sweep costs O(live runs + 1)
-    and memory stays O(live runs), however many ranks have been admitted.
+    diagonal enumeration: the pair joins the end of the list with no run
+    yet, so its generator is called only once the earlier runs have
+    stepped (and never in a sweep the global budget cuts before it), and
+    its run, if any, steps at the end of the same sweep.  A run that halts,
+    loops or spends its sub-budget leaves the list and never emits another
+    event, so a sweep costs O(live runs + 1) and memory stays O(live runs),
+    however many ranks have been admitted.  Admission builds one tuple and
+    one ``Runner``, and a trial that loops back to its start at step 2 (as
+    most trials of a looper task do) is decided there by one comparison of
+    run keys, so a short trial costs about its steps.
     The first accepted halt in schedule order wins.  If every task reports
     itself exhausted and all spawned runs have died unaccepted, the
     per-task tallies are returned; otherwise the global step budget bounds
@@ -164,35 +168,32 @@ def dovetail(
     # (rank, trial, task state, runner) of every live run, in rank order.
     live: list[_LiveRun] = []
     global_step = 0
-
-    def admit(rank: int, state: _TaskState, trial: int) -> Iterator[_LiveRun]:
-        """Yield the run of a newly admitted pair, if its task still has trials.
-
-        Being a generator, its body runs only when the sweep reaches it,
-        after every earlier live run has stepped, so a sweep cut short by
-        the global budget never calls the task's generator.
-        """
-        nonlocal exhausted
-        # Cantor order hands each task its trials in increasing order, so
-        # once a task has no trial at some index it has none at any later rank.
-        if state.exhausted:
-            return
-        sub = state.task.generator(trial)
-        if sub is None:
-            state.exhausted = True
-            exhausted += 1
-            return
-        state.trials_spawned += 1
-        yield rank, trial, state, Runner(sub.machine, sub.input)
-
     ranks = enumerate(diagonal_pairs(len(tasks)))
     while True:
         if exhausted == len(states) and not live:
             return AllExhausted(tuple(state.status() for state in states))
         new_rank, (task_idx, new_trial) = next(ranks)
+        # The pair admitted this sweep goes last, with no runner yet: its
+        # generator is called only when the sweep reaches it, after every
+        # earlier live run has stepped, so a sweep cut short by the global
+        # budget never calls it.
+        live.append((new_rank, new_trial, states[task_idx], None))
         survivors = []
-        for entry in chain(live, admit(new_rank, states[task_idx], new_trial)):
+        for entry in live:
             rank, trial, state, run = entry
+            if run is None:
+                # Cantor order hands each task its trials in increasing order, so
+                # once a task has no trial at some index it has none at any later rank.
+                if state.exhausted:
+                    break
+                sub = state.task.generator(trial)
+                if sub is None:
+                    state.exhausted = True
+                    exhausted += 1
+                    break
+                state.trials_spawned += 1
+                run = Runner(sub.machine, sub.input)
+                entry = rank, trial, state, run
             if global_step == global_budget:
                 return GlobalBudgetExceeded(global_budget)
             global_step += 1

@@ -311,14 +311,16 @@ _FINGERPRINT_BASE = 1_000_003
 
 
 @functools.lru_cache(maxsize=None)
-def _fingerprint_factors(mod: int) -> tuple[int, int, Optional[int]]:
-    """(r, r**-1, (r - 1)**-1) mod a prime ``mod``; the last is None when r = 1.
+def _fingerprint_factors(mod: int) -> tuple[int, Optional[int], tuple[None, int, int]]:
+    """(r, (r - 1)**-1, (None, r**-1, r)) mod a prime ``mod``; the second is None when r = 1.
 
-    r and r**-1 are the fingerprint's factors for a move left and right;
-    (r - 1)**-1 sums a run of equal cells in closed form.
+    (r - 1)**-1 sums a run of equal cells in closed form.  The last tuple,
+    indexed by a move (+1 right, -1 left), is the fingerprint's factor for
+    that move: a move left raises every exponent cell - head by one, so it
+    multiplies by r, and a move right divides by it.
     """
     base = _FINGERPRINT_BASE % mod
-    return base, pow(base, -1, mod), None if base == 1 else pow(base - 1, -1, mod)
+    return base, None if base == 1 else pow(base - 1, -1, mod), (None, pow(base, -1, mod), base)
 
 
 def _start_fingerprint(
@@ -332,7 +334,7 @@ def _start_fingerprint(
     """
     if not n and not writes:
         return 0
-    r, _, sum_inverse = _fingerprint_factors(mod)
+    r, sum_inverse, _ = _fingerprint_factors(mod)
     base_code = codes[symbol] if n else 0
     fp = 0
     if base_code:
@@ -346,9 +348,15 @@ def _widened(machine: Machine, state: str, symbols: Iterable[str]) -> Machine:
     """``machine`` with ``state`` and ``symbols`` added, started in ``state``.
 
     The added state and symbols have no rule, so a run that reads one
-    halts there, and ``Runner._halt`` raises.
+    halts there, and ``Runner._stop`` raises.
     """
     return Machine(machine.states | {state}, machine.alphabet | set(symbols), machine.transitions, state)
+
+
+# What ``Runner._steps`` and ``Runner._verdict`` give for a run that stops on
+# a configuration no rule applies to: the ``Halted`` it stands for costs a
+# decoded snapshot, which only callers that read the final tape build.
+_HALTS = object()
 
 
 class Runner:
@@ -369,9 +377,13 @@ class Runner:
     cells it writes in a dict of its own, where a blank written stays as a
     blank.  Any other start mapping is copied into that dict.  A read that
     misses the dict falls back to the base run; a run with no base pays
-    one ``is None`` test per step for this.  So set-up costs O(writes of
-    the start), a step O(1), and an immutable ``ID`` is built only on
-    request, by decoding the writes.
+    one ``is None`` test per step for this.  Set-up costs O(writes of the
+    start) and a few attribute stores: the compiled table, the start's row
+    and, under loop detection, the modulus, its move factors (one cached
+    tuple) and the start's key.  A step costs O(1).  An immutable ``ID`` is
+    built only on request, by decoding the writes; ``count`` reads the
+    ones off the run instead, so a caller that wants only those (as
+    ``run_for_ones`` and ``run_value`` do) builds no ``Halted``.
 
     ``run`` without a step hook takes its steps in one batched loop over
     local variables (``_steps``); ``advance`` takes one step, for callers
@@ -401,41 +413,41 @@ class Runner:
     )
 
     def __init__(self, machine: Machine, start: ID, detect_loops: bool = True):
-        self.machine = machine
+        self.machine = self.compiled = compiled = machine
         self.start = start
         self.head = head = start.head
-        if type(start.tape) is Tape:
-            n, symbol, writes = start.tape.n, start.tape.symbol, start.tape.writes
+        self.steps = self.fp = 0
+        tape = start.tape
+        if type(tape) is Tape:
+            n, symbol, writes = tape.n, tape.symbol, tape.writes
         else:
-            n, symbol, writes = 0, BLANK, start.tape
-        compiled = machine
+            n, symbol, writes = 0, BLANK, tape
         try:
             codes = compiled.codes
             row, base_code = compiled.rows[start.state], codes[symbol] if n else 0
             self.tape = {cell: codes[sym] for cell, sym in writes.items()} if writes else {}
         except KeyError:
-            compiled = _widened(machine, start.state, [*writes.values(), symbol] if n else writes.values())
+            self.compiled = compiled = _widened(
+                machine, start.state, [*writes.values(), symbol] if n else writes.values()
+            )
             codes = compiled.codes
             row, base_code = compiled.rows[start.state], codes[symbol] if n else 0
             self.tape = {cell: codes[sym] for cell, sym in writes.items()}
-        self.compiled, self.table, self.row = compiled, compiled.table, row
+        self.table, self.row = compiled.table, row
         self.base_len, self.base_symbol, self.base_code = n, symbol, base_code
         # What a read that misses the dict gives: None sends it on to the base run.
         self.miss = None if n else 0
-        self.steps = 0
-        self.seen: Optional[dict[int, int]] = None
-        self.fp = 0
         if not detect_loops:
+            self.seen = None
             return
         self.mod = mod = _FINGERPRINT_MODULUS
-        # Indexed by the move: a move left (-1) raises every exponent cell - head
-        # by one, so it multiplies by r, and a move right (+1) lowers it.
-        left, right, _ = _fingerprint_factors(mod)
-        self.factors = (None, right, left)
-        self.size = len(compiled.table)
-        self.fp = _start_fingerprint(n, symbol, writes, head, codes, mod)
-        self.seen = {self.fp * self.size + row: 0}
-        # Key -> {canonical key of a configuration: step}, for hit keys.
+        self.factors = _fingerprint_factors(mod)[2]
+        self.size = size = len(compiled.table)
+        if n or writes:
+            self.fp = _start_fingerprint(n, symbol, writes, head, codes, mod)
+        self.seen = {self.fp * size + row: 0}
+        # Key -> {canonical key of a configuration: step}, for keys hit by
+        # configurations that proved different.
         self.exact: dict[int, dict[tuple, int]] = {}
 
     @property
@@ -450,6 +462,22 @@ class Runner:
         writes = {cell: names[code] for cell, code in self.tape.items()}
         return ID(self.state, self.head, Tape(self.base_len, self.base_symbol, writes))
 
+    def count(self, symbol: str = "1") -> int:
+        """Cells holding ``symbol`` now, in O(writes): ``count_symbols(self.snapshot(), symbol)``."""
+        code = self.compiled.codes.get(symbol)
+        if not code:  # a blank cell is not held, and a symbol with no code is on no cell
+            return 0
+        n, tape = self.base_len, self.tape
+        if self.base_code != code:
+            return list(tape.values()).count(code)
+        total = n
+        for cell, held in tape.items():
+            if 0 <= cell < n:
+                total -= held != code
+            else:
+                total += held == code
+        return total
+
     def advance(self) -> Optional[Halted | LoopDetected]:
         """Take one step.
 
@@ -463,7 +491,8 @@ class Runner:
             old = self.base_code if 0 <= head < self.base_len else 0
         rule = self.table[self.row + old]
         if rule is None:
-            return self._halt(old)
+            self._stop(old)
+            return self._halt()
         self.row, new, move = rule
         if new != old:
             tape[head] = new
@@ -479,8 +508,8 @@ class Runner:
             return None
         return self._confirm(key, first)
 
-    def _steps(self, k: int) -> Optional[Halted | LoopDetected]:
-        """Take up to ``k`` steps: the first outcome, or ``None`` after ``k`` steps without one.
+    def _steps(self, k: int) -> Optional[LoopDetected | object]:
+        """Take up to ``k`` steps: ``LoopDetected``, ``_HALTS`` on a halt, or ``None`` after ``k`` steps.
 
         ``advance`` in one loop over local variables, written back to the
         run at an outcome, at a key hit (which ``_confirm`` decides against
@@ -498,7 +527,7 @@ class Runner:
             rule = table[row + old]
             if rule is None:
                 self.row, self.head, self.steps, self.fp = row, head, steps, fp
-                return self._halt(old)
+                return self._stop(old)
             row, new, move = rule
             if new != old:
                 tape[head] = new
@@ -530,10 +559,7 @@ class Runner:
 
     def halted(self) -> Optional[Halted]:
         """``Halted`` if no rule applies to the current configuration, else ``None``."""
-        code = self._code_at(self.head)
-        if self.table[self.row + code] is not None:
-            return None
-        return self._halt(code)
+        return None if self._stops() is None else self._halt()
 
     def run(
         self, budget: int, on_step: Optional[Callable[["Runner"], None]] = None
@@ -544,10 +570,11 @@ class Runner:
         the one that detects a loop included; a step changes at most the
         cell the head left.  Without it the steps are batched.
         """
+        if on_step is None:
+            outcome = self._verdict(budget)
+            return self._halt() if outcome is _HALTS else outcome
         if budget < 0:
             raise GodelsimError("budget must be >= 0")
-        if on_step is None:
-            return self._steps(budget) or self.halted() or BudgetExceeded(budget)
         on_step(self)
         for _ in range(budget):
             outcome = self.advance()
@@ -558,13 +585,34 @@ class Runner:
                 return outcome
         return self.halted() or BudgetExceeded(budget)
 
-    def _halt(self, code: int) -> Halted:
-        """The run's ``Halted`` on reading ``code``; raises if the state or that symbol is foreign."""
-        state, sym = self.state, self.compiled.symbol_names[code]
-        if state not in self.machine.states:
-            raise MalformedIDError(f"state {state!r} not in machine states")
-        if sym not in self.machine.alphabet:
-            raise MalformedIDError(f"symbol {sym!r} not in machine alphabet")
+    def _verdict(self, budget: int) -> LoopDetected | BudgetExceeded | object:
+        """``run(budget)`` without a step hook, with ``_HALTS`` in place of its ``Halted``."""
+        if budget < 0:
+            raise GodelsimError("budget must be >= 0")
+        return self._steps(budget) or self._stops() or BudgetExceeded(budget)
+
+    def _stops(self) -> Optional[object]:
+        """``_HALTS`` if no rule applies to the current configuration (see ``_stop``), else ``None``."""
+        code = self._code_at(self.head)
+        return None if self.table[self.row + code] is not None else self._stop(code)
+
+    def _stop(self, code: int) -> object:
+        """``_HALTS``, for the run reading ``code`` where no rule applies.
+
+        Raises ``MalformedIDError`` if the state or that symbol is foreign to
+        the machine, which only a widened table (see ``__init__``) can hold.
+        """
+        compiled, machine = self.compiled, self.machine
+        if compiled is not machine:
+            state, sym = self.state, compiled.symbol_names[code]
+            if state not in machine.states:
+                raise MalformedIDError(f"state {state!r} not in machine states")
+            if sym not in machine.alphabet:
+                raise MalformedIDError(f"symbol {sym!r} not in machine alphabet")
+        return _HALTS
+
+    def _halt(self) -> Halted:
+        """The run's ``Halted``, once ``_stop`` has let the halt stand."""
         return Halted(self.steps, self.snapshot())
 
     def _canonical_key(self, at_start: bool = False) -> tuple:
@@ -622,10 +670,14 @@ class Runner:
     def _confirm(self, key: int, first: int) -> Optional[LoopDetected]:
         """Decide a key hit exactly, against every earlier configuration with this key.
 
-        The first hit on a key builds the key of the earlier configuration:
-        the start's straight from ``start`` when the earlier step is 0, else
-        by replaying a runner without loop detection from ``start`` to it.
+        The first hit on a key builds the key of the earlier configuration
+        (the start's straight from ``start`` when the earlier step is 0,
+        else by replaying a runner without loop detection from ``start`` to
+        it) and compares it with the current one: one comparison decides
+        the hit, and a table of exact keys is kept for this key only when
+        the two differ, so that a later hit on it is checked against both.
         """
+        current = self._canonical_key()
         exact = self.exact.get(key)
         if exact is None:
             if first:
@@ -634,10 +686,14 @@ class Runner:
                 earlier_key = earlier._canonical_key()
             else:
                 earlier_key = self._canonical_key(at_start=True)
-            exact = self.exact[key] = {earlier_key: first}
-        prev = exact.setdefault(self._canonical_key(), self.steps)
-        if prev == self.steps:
-            return None
+            if earlier_key != current:
+                self.exact[key] = {earlier_key: first, current: self.steps}
+                return None
+            prev = first
+        else:
+            prev = exact.setdefault(current, self.steps)
+            if prev == self.steps:
+                return None
         return LoopDetected(self.steps, self.steps - prev)
 
 
@@ -679,11 +735,14 @@ def count_symbols(desc: ID, symbol: str = "1") -> int:
 
 
 def run_for_ones(machine: Machine, start: ID, budget: int) -> int | LoopDetected | BudgetExceeded:
-    """Run under loop detection: the ones left on a halted tape, else the non-halting outcome."""
-    outcome = run_with_loop_detection(machine, start, budget)
-    if isinstance(outcome, Halted):
-        return count_symbols(outcome.final_id)
-    return outcome
+    """Run under loop detection: the ones left on a halted tape, else the non-halting outcome.
+
+    The ones are read off the runner (``Runner.count``), so a halt builds
+    no ``Halted`` and no final ``ID``.
+    """
+    runner = Runner(machine, start)
+    outcome = runner._verdict(budget)
+    return runner.count() if outcome is _HALTS else outcome
 
 
 _TWO_STATE_LOOPER = Machine.from_rules(
@@ -725,7 +784,9 @@ def run_value(value: Optional[int]) -> int | LoopDetected:
     The budget follows from the value, so the run always reaches a verdict:
     the reader halts after exactly ``value`` steps, and the looper, run
     under loop detection, repeats its start at step 2.  The reader runs
-    without loop detection, at the cost of its steps alone.
+    without loop detection, at the cost of its steps alone, and its ones
+    are read off the runner (``Runner.count``): no ``Halted`` and no final
+    ``ID`` is built.  A reader that did not halt would raise.
     """
     machine, start = value_start(value)
     if value is None:
@@ -734,8 +795,10 @@ def run_value(value: Optional[int]) -> int | LoopDetected:
     # moves right every step over a tape that never changes, so its offset
     # from the leftmost 1 rises, and loop detection could only ever answer
     # "no repeat".
-    outcome = Runner(machine, start, detect_loops=False).run(value)
-    return count_symbols(outcome.final_id)
+    runner = Runner(machine, start, detect_loops=False)
+    if runner._verdict(value) is not _HALTS:
+        raise AssertionError(f"the unary reader did not halt in {value} steps")
+    return runner.count()
 
 
 _HEADER_RE = re.compile(r"^(states|alphabet|start)\s*:\s*(.*)$")

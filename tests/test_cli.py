@@ -382,6 +382,32 @@ def test_bad_provider_spec_is_a_clean_error(tmp_path, spec):
     assert line.startswith(f"error: {config}: provider for 'p' of particle 1")
 
 
+BOUNCE_TM = "states: a b\nalphabet: _ 1\nstart: a\na 1 -> a 1 R\na _ -> b _ L\nb 1 -> a 1 R\n"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_uniform_rule_that_fails_mid_simulation_names_its_provider(tmp_path, fmt):
+    # The walker halts on a blank tape at t=0, then bounces between the last 1 and the blank past it.
+    (tmp_path / "bounce.tm").write_text(BOUNCE_TM, encoding="utf-8")
+    config = tmp_path / "bounce.json"
+    config.write_text(
+        json.dumps({"properties": ["p"], "particles": [{"id": 1, "providers": {"p": "uniform:machine,file=bounce.tm"}}]}),
+        encoding="utf-8",
+    )
+    code, out, err = invoke("--format", fmt, "universe", "sim", "--config", str(config), "--steps", "3")
+    assert code == 1 and "Traceback" not in err
+    # JSONL has written the row of t=0 by then; CSV drops every unwritten record.
+    assert out == ('{"p": 0, "particle": 1, "record": "signature", "t": 0}\n' if fmt == "jsonl" else "")
+    line, manifest = err.splitlines()
+    assert line == (
+        f"error: {config}: provider for 'p' of particle 1: "
+        "machine rule looped at t=1; uniform rules must terminate"
+    )
+    manifest = json.loads(manifest)
+    assert manifest["record"] == "manifest" and manifest["outcome_summary"] == line
+    assert json.loads(manifest["inputs"]) == {"config": os.path.abspath(config), "steps": 3, "window": 3}
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
 def test_beta_encode_past_the_int_digit_limit():
     # c = 1559! has more digits than Python converts to text by default.

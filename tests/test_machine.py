@@ -1,7 +1,9 @@
 """Machine semantics: stepping, canonical forms, keys, and loop-detected runs."""
 
 import gc
+import inspect
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import pytest
 
 import godelsim.machine
 from godelsim import GodelsimError
+from godelsim.collapse import evaluate, make_horizon_machine
 from godelsim.corpus import corpus_machine, verify_corpus
 from godelsim.machine import (
     BLANK,
@@ -37,7 +40,8 @@ from godelsim.machine import (
     unary_id,
     value_start,
 )
-from godelsim.dovetail import SearchTask, SubRun, dovetail, unary_output
+from godelsim.dovetail import GlobalBudgetExceeded, SearchTask, SubRun, dovetail, unary_output
+from godelsim.universe import MachineRule, ProviderError
 
 from helpers import canonical_tuple, naive_outcome, random_id, random_machine
 
@@ -778,3 +782,154 @@ def test_a_reader_on_a_million_ones_confirms_in_constant_memory():
         tracemalloc.stop()
     # Materializing the base run for the exact check peaked at 274 MB.
     assert outcome == LoopDetected(2, 2) and peak < 1_000_000
+
+
+# --- the lean verdict path: ones and verdicts read off the runner --------------------
+
+
+def first_event(machine, start, limit):
+    """The first halt, loop or foreign read within ``limit`` steps, by plain stepping: (step, outcome).
+
+    The outcome is the ones left on a halted tape, ``LoopDetected`` or the
+    ``MalformedIDError`` text; None when ``limit`` steps pass without one.
+    """
+    seen = [canonical_tuple(start)]
+    current = start
+    for done in range(limit + 1):
+        try:
+            nxt = step(machine, current)
+        except MalformedIDError as exc:
+            return done, f"MalformedIDError: {exc}"
+        if nxt is None:
+            return done, sum(sym == "1" for sym in current.tape.values())
+        if done == limit:
+            break
+        key = canonical_tuple(nxt)
+        if key in seen:
+            return done + 1, LoopDetected(done + 1, done + 1 - seen.index(key))
+        seen.append(key)
+        current = nxt
+    return None
+
+
+def expected_at(event, budget):
+    """What a loop-detected run for ones gives at ``budget``, from its ``first_event``."""
+    return event[1] if event is not None and event[0] <= budget else BudgetExceeded(budget)
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (MalformedIDError, ProviderError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def lean_cases(seed, count):
+    """(machine, start) from blank, unary and ``cells:`` starts, some with a foreign state or symbol."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        machine = random_machine(rng)
+        kind = rng.choice(("blank", "unary", "cells"))
+        if kind == "blank":
+            start = blank_id(machine)
+        elif kind == "unary":
+            start = unary_id(machine, rng.randint(0, 12), rng.choice(("1", "1", "0", "x")))
+        else:
+            start = random_id(rng)
+            if rng.random() < 0.3:
+                start = ID(start.state, start.head, {**start.tape, rng.randint(-3, 3): "x"})
+        if rng.random() < 0.1:
+            start = replace(start, state="nope")
+        cases.append((machine, start))
+    return cases
+
+
+@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+def test_lean_verdicts_match_plain_stepping(monkeypatch, modulus):
+    monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
+    kinds = set()
+    for machine, start in lean_cases(151, 150):
+        event = first_event(machine, start, 60)
+        for budget in range(61):
+            expected = expected_at(event, budget)
+            assert outcome_or_error(run_for_ones, machine, start, budget) == expected
+            kinds.add(type(expected))
+        runner = Runner(machine, start)
+        outcome_or_error(runner.run, 60)
+        for symbol in ("0", "1", "x", BLANK):
+            assert runner.count(symbol) == count_symbols(runner.snapshot(), symbol)
+    assert kinds == {int, LoopDetected, BudgetExceeded, str}
+    # A uniform machine rule on t ones, at every budget.
+    rng = random.Random(157)
+    for _ in range(40):
+        machine = random_machine(rng)
+        for t in range(8):
+            event = first_event(machine, unary_id(machine, t), 60)
+            for budget in range(0, 61, 4):
+                expected = expected_at(event, budget)
+                if isinstance(expected, LoopDetected):
+                    expected = f"ProviderError: machine rule looped at t={t}; uniform rules must terminate"
+                elif isinstance(expected, BudgetExceeded):
+                    expected = f"ProviderError: machine rule ran out of budget at t={t}; uniform rules must terminate"
+                assert outcome_or_error(MachineRule(machine, budget).value_at, t) == expected
+    # Values, and horizon machines over them, against the run value_start gives.
+    values = [None, *range(201)]
+    for value in values:
+        machine, start = value_start(value)
+        expected = expected_at(first_event(machine, start, 2 if value is None else value), 10**9)
+        assert expected == (LoopDetected(2, 2) if value is None else value)
+        assert run_value(value) == expected
+    hm = make_horizon_machine(lambda n: values[n + 1], 150)
+    assert [evaluate(hm, n) for n in range(160)] == [*range(150), *[LoopDetected(2, 2)] * 10]
+
+
+def test_short_runs_build_only_what_their_callers_read(monkeypatch):
+    counts = dict.fromkeys(("Halted", "ID", "snapshot", "Runner"), 0)
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(Halted, "__init__", "Halted")
+    counting(ID, "__init__", "ID")
+    counting(Runner, "snapshot", "snapshot")
+    counting(Runner, "__init__", "Runner")
+    # Each value builds its start and its runner, and reads the ones off the runner.
+    assert [run_value(value) for value in range(30)] == list(range(30))
+    assert counts == {"Halted": 0, "ID": 30, "snapshot": 0, "Runner": 30}
+    reader = Machine.from_rules([("r", "1", "r", "1", "R")], "r")
+    assert run_for_ones(reader, unary_id(reader, 7), 10) == 7
+    assert counts == {"Halted": 0, "ID": 31, "snapshot": 0, "Runner": 31}
+
+    # A looper dovetail: one runner per trial, and no generator per sweep.
+    looper = two_state_looper()
+    trials = []
+    tasks = [
+        SearchTask(i, lambda y: trials.append(y) or SubRun(looper, blank_id(looper)), lambda h: True)
+        for i in range(2)
+    ]
+    # The frames of the generators that dovetail.py runs: a generator keeps one frame for its life.
+    frames, dovetail_file = set(), dovetail.__code__.co_filename
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_flags & inspect.CO_GENERATOR and code.co_filename == dovetail_file:
+            frames.add(frame)
+
+    counts["Runner"] = 0
+    sys.setprofile(profile)
+    try:
+        outcome = dovetail(tasks, 64, 1000)
+    finally:
+        sys.setprofile(None)
+    assert outcome == GlobalBudgetExceeded(1000)
+    # 1000 global steps are 500 trials of two steps each, in about as many
+    # sweeps; the trial admitted in the last one is cut before its first step.
+    assert counts["Runner"] == len(trials) == 501
+    assert len(frames) == 1  # diagonal_pairs, resumed once a sweep
