@@ -480,6 +480,15 @@ def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> _Result:
 
 
 def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
+    """Write each particle's signature row at t = 0 .. steps-1, then one report.
+
+    A plan is built once per particle: its row writer and, in signature
+    order (sorted property numbers), each property's name, value function
+    and series list.  A row then costs its values plus one record: no
+    ``Signature`` is built and no provider is looked up again.  A provider
+    that fails is named by the loop that called it; with ``--steps 0`` the
+    t=0 values the report reads are first evaluated the same way.
+    """
     with ExitStack() as stack:
         config_path = _resolve_config(args.config, stack)
         setup = universe.load_universe_config(config_path)
@@ -498,36 +507,42 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
                 f"both map to the column {column!r}"
             )
         names[k], owners[column] = column, name
-    # A particle's signature values come in the sorted order of its property numbers.
-    rows = [
-        emit.kind("t", "particle", *[names[k] for k in sorted(p.providers)], record="signature")
-        for p in u.particles
-    ]
     inputs = {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window}
-    series: dict[tuple[int, int], list[Optional[int]]] = {}
-    for t in range(steps):
-        for particle, row in zip(u.particles, rows):
-            try:
-                sig = universe.signature_at(u, particle.id, t)
-            except universe.ProviderError as exc:
-                # Name the provider as a load-time error does: the first, in
-                # signature order, that fails at t.
-                k = next(k for k in sorted(particle.providers) if _fails(particle.providers[k], t))
-                raise CliError(
-                    f"{config_path}: provider for {owners[names[k]]!r} of particle {particle.id!r}: {exc}",
-                    inputs,
-                ) from exc
-            for k, value in sig.values.items():
-                series.setdefault((particle.id, k), []).append(value)
-            row(t, particle.id, *["horizon-exceeded" if v is None else v for v in sig.values.values()])
+    series: dict[tuple[int, int], list[Optional[int]]] = {}  # (particle, property) -> values
+    plans = []
+    for particle in u.particles:
+        order = sorted(particle.providers)
+        cells = []
+        for k in order:
+            values = series[particle.id, k] = []
+            cells.append((owners[names[k]], universe.value_function(particle.providers[k]), values.append))
+        row = emit.kind("t", "particle", *[names[k] for k in order], record="signature")
+        plans.append((particle.id, row, cells))
+    try:
+        for t in range(steps):
+            for pid, row, cells in plans:
+                out = []
+                for name, value_at, keep in cells:
+                    value = value_at(t)
+                    keep(value)
+                    out.append("horizon-exceeded" if value is None else value)
+                row(t, pid, *out)
+        if not steps:
+            for pid, _, cells in plans:
+                for name, value_at, _ in cells:
+                    value_at(0)
+    except universe.ProviderError as exc:  # pid and name are those of the call that raised
+        raise CliError(f"{config_path}: provider for {name!r} of particle {pid!r}: {exc}", inputs) from exc
     report = universe.check_predictability_obstruction(u)
     verdicts: dict[str, list[str]] = {"predictable": [], "random": [], "undetermined": [], "horizon-limited": []}
     for (pid, k), values in sorted(series.items()):
         label = f"{pid}.{names[k]}"
-        if any(v is None for v in values):
+        if not values:  # --steps 0 draws no verdict
+            continue
+        if None in values:
             verdicts["horizon-limited"].append(label)
             continue
-        verdict = universe.classify_predictability([v for v in values if v is not None], window)
+        verdict = universe.classify_predictability(values, window)
         if isinstance(verdict, universe.Predictable):
             verdicts["predictable"].append(label)
         elif isinstance(verdict, universe.Random):
@@ -548,15 +563,6 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
         window,
     )
     return EXIT_OK, inputs, f"classification={report.classification.value}"
-
-
-def _fails(provider: universe.Provider, t: int) -> bool:
-    """Whether ``provider`` fails at interaction ``t`` with a ``ProviderError``."""
-    try:
-        universe.provider_value(provider, t)
-    except universe.ProviderError:
-        return True
-    return False
 
 
 def cmd_collapse(args: argparse.Namespace, emit: _Emitter) -> _Result:

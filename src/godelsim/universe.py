@@ -18,7 +18,7 @@ import enum
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import GodelsimError, collapse
 from .beta import BetaPair, fit_characteristic_beta
@@ -27,6 +27,7 @@ from .machine import (
     BudgetExceeded,
     Machine,
     MachineParseError,
+    MalformedIDError,
     load_machine_file,
     run_for_ones,
     unary_id,
@@ -155,7 +156,10 @@ class MachineRule:
     budget: int = 10_000
 
     def value_at(self, t: int) -> int:
-        result = run_for_ones(self.machine, unary_id(self.machine, t), self.budget)
+        try:
+            result = run_for_ones(self.machine, unary_id(self.machine, t), self.budget)
+        except MalformedIDError as exc:  # t ones, and the machine has no symbol 1
+            raise ProviderError(f"machine rule cannot read its input at t={t}: {exc}") from exc
         if isinstance(result, int):
             return result
         kind = "looped" if not isinstance(result, BudgetExceeded) else "ran out of budget"
@@ -178,15 +182,29 @@ class HorizonProvider:
 Provider = Union[UniformProvider, HorizonProvider]
 
 
-def provider_value(provider: Provider, t: int) -> Optional[int]:
-    """Value at interaction ``t``; None marks a horizon-exceeded entry."""
+def value_function(provider: Provider) -> Callable[[int], Optional[int]]:
+    """The function ``t -> value`` of ``provider``, chosen once.
+
+    A uniform rule answers through its own ``value_at``.  A horizon machine
+    answers None at and past its horizon, a horizon-exceeded entry, and below
+    it the value its run leaves.  This is the one place that tells the two
+    kinds apart for a value: ``provider_value``, so every signature and
+    query, and each row of ``gu universe sim`` go through it.
+    """
     if isinstance(provider, UniformProvider):
-        return provider.rule.value_at(t)
-    if t >= provider.machine.horizon:
-        return None
-    value = collapse.evaluate(provider.machine, t)
-    assert isinstance(value, int)
-    return value
+        return provider.rule.value_at
+    machine = provider.machine
+    horizon = machine.horizon
+
+    def horizon_value(t: int) -> Optional[int]:
+        return collapse.evaluate(machine, t) if t < horizon else None
+
+    return horizon_value
+
+
+def provider_value(provider: Provider, t: int) -> Optional[int]:
+    """Value at interaction ``t``, through ``value_function``; None marks a horizon-exceeded entry."""
+    return value_function(provider)(t)
 
 
 # --- particles and universes ------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from godelsim import beta, cli
+from godelsim import beta, cli, universe
 from godelsim.machine import (
     ID,
     Halted,
@@ -383,29 +383,40 @@ def test_bad_provider_spec_is_a_clean_error(tmp_path, spec):
 
 
 BOUNCE_TM = "states: a b\nalphabet: _ 1\nstart: a\na 1 -> a 1 R\na _ -> b _ L\nb 1 -> a 1 R\n"
+NOX_TM = "states: a b\nalphabet: _ x\nstart: a\na _ -> b x R\n"
+LOOP_TM = "states: a b\nalphabet: _ 1\nstart: a\na _ -> b _ R\nb _ -> a _ L\n"
+# (machine, --steps, the provider's own error); each halts on the blank tape of t=0 with
+# no ones, or fails there.
+FAILING_RULES = [
+    # The walker bounces between the last 1 and the blank past it from t=1 on.
+    (BOUNCE_TM, 3, "machine rule looped at t=1; uniform rules must terminate"),
+    # No symbol 1: t ones cannot be read from t=1 on.
+    (NOX_TM, 3, "machine rule cannot read its input at t=1: symbol '1' not in machine alphabet"),
+    # A loop on the blank tape: at --steps 0 the report's t=0 evaluation finds it.
+    (LOOP_TM, 2, "machine rule looped at t=0; uniform rules must terminate"),
+    (LOOP_TM, 0, "machine rule looped at t=0; uniform rules must terminate"),
+]
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_a_uniform_rule_that_fails_mid_simulation_names_its_provider(tmp_path, fmt):
-    # The walker halts on a blank tape at t=0, then bounces between the last 1 and the blank past it.
-    (tmp_path / "bounce.tm").write_text(BOUNCE_TM, encoding="utf-8")
-    config = tmp_path / "bounce.json"
+    config = tmp_path / "rule.json"
     config.write_text(
-        json.dumps({"properties": ["p"], "particles": [{"id": 1, "providers": {"p": "uniform:machine,file=bounce.tm"}}]}),
+        json.dumps({"properties": ["p"], "particles": [{"id": 1, "providers": {"p": "uniform:machine,file=rule.tm"}}]}),
         encoding="utf-8",
     )
-    code, out, err = invoke("--format", fmt, "universe", "sim", "--config", str(config), "--steps", "3")
-    assert code == 1 and "Traceback" not in err
-    # JSONL has written the row of t=0 by then; CSV drops every unwritten record.
-    assert out == ('{"p": 0, "particle": 1, "record": "signature", "t": 0}\n' if fmt == "jsonl" else "")
-    line, manifest = err.splitlines()
-    assert line == (
-        f"error: {config}: provider for 'p' of particle 1: "
-        "machine rule looped at t=1; uniform rules must terminate"
-    )
-    manifest = json.loads(manifest)
-    assert manifest["record"] == "manifest" and manifest["outcome_summary"] == line
-    assert json.loads(manifest["inputs"]) == {"config": os.path.abspath(config), "steps": 3, "window": 3}
+    for machine, steps, error in FAILING_RULES:
+        (tmp_path / "rule.tm").write_text(machine, encoding="utf-8")
+        code, out, err = invoke("--format", fmt, "universe", "sim", "--config", str(config), "--steps", str(steps))
+        assert code == 1 and "Traceback" not in err
+        # JSONL has written the row of t=0 by then; CSV drops every unwritten record.
+        row = '{"p": 0, "particle": 1, "record": "signature", "t": 0}\n'
+        assert out == (row if fmt == "jsonl" and "t=1" in error else "")
+        line, manifest = err.splitlines()
+        assert line == f"error: {config}: provider for 'p' of particle 1: {error}"
+        manifest = json.loads(manifest)
+        assert manifest["record"] == "manifest" and manifest["outcome_summary"] == line
+        assert json.loads(manifest["inputs"]) == {"config": os.path.abspath(config), "steps": steps, "window": 3}
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
@@ -799,6 +810,104 @@ def test_any_mutated_shipped_config_gives_its_rows_or_one_error_naming_it(mutant
     assert [row["record"] for row in rows] == ["signature"] * config.get("steps", 5) * particles + ["report"]
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["record"] == "manifest"
+
+
+# --- gu universe sim against the library route ------------------------------------
+
+
+def library_sim(config, steps, window):
+    """The records of ``gu universe sim``, rebuilt from ``signature_at`` for every
+    particle and t, ``check_predictability_obstruction`` and ``classify_predictability``."""
+    u = universe.load_universe_config(config).universe
+    columns = {}
+    for k in u.registry.numbers():
+        name = u.registry.name_of(k)
+        columns[k] = f"prop_{name}" if name in ("record", "t", "particle") else name
+    records, series = [], {}
+    for t in range(steps):
+        for particle in u.particles:
+            row = {"record": "signature", "t": t, "particle": particle.id}
+            for k, value in universe.signature_at(u, particle.id, t).values.items():
+                row[columns[k]] = "horizon-exceeded" if value is None else value
+                series.setdefault((particle.id, k), []).append(value)
+            records.append(row)
+    verdicts = {"predictable": [], "random": [], "undetermined": [], "horizon_limited": []}
+    kinds = {universe.Predictable: "predictable", universe.Random: "random", universe.Undetermined: "undetermined"}
+    for (pid, k), values in sorted(series.items()):
+        kind = "horizon_limited" if None in values else kinds[type(universe.classify_predictability(values, window))]
+        verdicts[kind].append(f"{pid}.{columns[k]}")
+    report = universe.check_predictability_obstruction(u)
+    records.append({
+        "record": "report",
+        "classification": report.classification.value,
+        "particles": len(u.particles),
+        "fundamental": " ".join(map(str, report.fundamental_particles)),
+        "initial_materialized": " ".join(str(p.particle) for p in report.particles if p.initial_materialized),
+        **{kind: " ".join(labels) for kind, labels in verdicts.items()},
+        "window": window,
+    })
+    return records
+
+
+# Steps left off the unary input and writes two more ones: value t + 2.
+BUMP_TM = "states: q0 q1 q2\nalphabet: _ 1\nstart: q0\nq0 1 -> q0 1 L\nq0 _ -> q1 1 L\nq1 _ -> q2 1 L\n"
+
+
+def random_provider_spec(rng):
+    """One of the five uniform rules, the machine rule on ``bump.tm``, or a horizon spec."""
+    rule = rng.choice(["affine", "table", "counter", "machine", "constant", "horizon"])
+    if rule == "affine":
+        return f"uniform:affine,a={rng.randint(-3, 9)},b={rng.randint(-3, 9)},mod={rng.randint(1, 60)},start={rng.randint(-5, 50)}"
+    if rule == "table":
+        return "uniform:table,values=" + "|".join(str(rng.choice([0, 1, 7, 20])) for _ in range(rng.randint(1, 4)))
+    if rule == "counter":
+        return f"uniform:counter,start={rng.randint(0, 9)},step={rng.randint(0, 3)}"
+    if rule == "machine":
+        return "uniform:machine,file=bump.tm"
+    if rule == "constant":
+        return f"uniform:constant,value={rng.randint(0, 30)}"
+    predicate = rng.choice(["parity", "pi", f"const={rng.randint(0, 5)}", f"mod={rng.randint(1, 12)}"])
+    return f"horizon:{predicate},k0={rng.randint(1, 45)}"
+
+
+def test_universe_sim_matches_the_library_route(tmp_path):
+    (tmp_path / "bump.tm").write_text(BUMP_TM, encoding="utf-8")
+    rng = random.Random(20)
+    configs = [str(resources.files("godelsim").joinpath(f"data/configs/{name}.json")) for name in SHIPPED_CONFIGS]
+    names = ["mass", "t", "spin", "record", "charge"]
+    for i in range(24):
+        particles = [
+            {"id": pid, "providers": {name: random_provider_spec(rng) for name in rng.sample(names, rng.randint(0, 4))}}
+            for pid in rng.sample(range(-2, 9), rng.randint(1, 3))
+        ]
+        path = tmp_path / f"generated{i}.json"
+        path.write_text(json.dumps({"properties": names, "particles": particles}), encoding="utf-8")
+        configs.append(str(path))
+    for config in configs:
+        for steps in sorted({0, 1, rng.randint(2, 40), 40}):
+            window = rng.randint(1, 5)
+            expected = library_sim(config, steps, window)
+            argv = ["universe", "sim", "--config", config, "--steps", str(steps), "--window", str(window)]
+            code, out, _ = invoke("--format", "jsonl", *argv)
+            assert code == 0 and records_of(out) == expected, (config, steps, window)
+            code, out, _ = invoke("--format", "csv", *argv)
+            parsed = list(csv.DictReader(io.StringIO(out)))
+            assert code == 0 and parsed == list(csv.DictReader(io.StringIO(csv_round_trip(expected))))
+
+
+def test_universe_sim_rows_build_no_signature(monkeypatch):
+    built = []
+    original = universe.Signature
+
+    def counted(particle, interaction, values):
+        built.append(interaction)
+        return original(particle, interaction, values)
+
+    monkeypatch.setattr(universe, "Signature", counted)
+    code, out, _ = invoke("universe", "sim", "--config", "mixed", "--steps", "50")
+    assert code == 0 and len(records_of(out)) == 2 * 50 + 1
+    # The report's initial signatures, one a particle, are all that is built.
+    assert built == [0, 0]
 
 
 # --- gu run --trace against records rebuilt from the library -------------------

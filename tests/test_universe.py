@@ -37,6 +37,7 @@ from godelsim.universe import (
     signature_at,
     signature_query,
     step_universe,
+    value_function,
 )
 from godelsim import collapse
 
@@ -371,12 +372,21 @@ def test_repeated_queries_return_identical_results():
             assert len(results) == 1
 
 
+def test_value_function_tells_uniform_rules_from_horizon_machines():
+    rule = AffineRule(3, 2, 11, 1)
+    assert value_function(UniformProvider(rule)) == rule.value_at
+    pi = value_function(HorizonProvider(collapse.make_horizon_machine("pi", 4)))
+    assert [pi(t) for t in range(7)] == [3, 1, 4, 1, None, None, None]
+
+
 # On t ones: "append" leaves t + 1 ones, "loop" halts on t = 0 and loops from
-# t = 1 on, "grow" halts on t = 0 and writes ones forever from t = 1 on.
+# t = 1 on, "grow" halts on t = 0 and writes ones forever from t = 1 on, and
+# "nox", with no symbol 1, halts on t = 0 and cannot read its input from t = 1 on.
 RULE_MACHINES = {
     "append": "states: A H\nalphabet: _ 1\nstart: A\nA 1 -> A 1 R\nA _ -> H 1 R\n",
     "loop": "states: A B\nalphabet: _ 1\nstart: A\nA 1 -> B 1 L\nB _ -> A _ R\n",
     "grow": "states: A B\nalphabet: _ 1\nstart: A\nA 1 -> B 1 R\nB 1 -> B 1 R\nB _ -> B 1 R\n",
+    "nox": "states: A B\nalphabet: _ x\nstart: A\nA _ -> B x R\n",
 }
 
 
@@ -390,14 +400,14 @@ def test_machine_rule_answers_with_the_ones_its_run_leaves(tmp_path):
             {
                 "properties": list(RULE_MACHINES),
                 "particles": [
-                    {"id": 1, "providers": providers, "initial": {"append": 1, "loop": 0, "grow": 0}}
+                    {"id": 1, "providers": providers, "initial": {"append": 1, "loop": 0, "grow": 0, "nox": 0}}
                 ],
             }
         ),
         encoding="utf-8",
     )
     u = load_universe_config(config).universe
-    append, loop, grow = (u.registry.number_of(name) for name in RULE_MACHINES)
+    append, loop, grow, nox = (u.registry.number_of(name) for name in RULE_MACHINES)
     assert [signature_query(u, 1, t, append) for t in range(12)] == list(range(1, 13))
     with pytest.raises(ProviderError) as info:
         signature_query(u, 1, 1, loop)
@@ -405,3 +415,6 @@ def test_machine_rule_answers_with_the_ones_its_run_leaves(tmp_path):
     with pytest.raises(ProviderError) as info:
         signature_query(u, 1, 3, grow)
     assert str(info.value) == "machine rule ran out of budget at t=3; uniform rules must terminate"
+    with pytest.raises(ProviderError) as info:
+        signature_query(u, 1, 1, nox)
+    assert str(info.value) == "machine rule cannot read its input at t=1: symbol '1' not in machine alphabet"
