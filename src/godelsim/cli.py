@@ -31,6 +31,7 @@ import re
 import sys
 import tempfile
 from bisect import bisect_left
+from collections import deque
 from contextlib import ExitStack, closing
 from importlib import resources
 from json.encoder import encode_basestring_ascii
@@ -484,10 +485,11 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
 
     A plan is built once per particle: its row writer and, in signature
     order (sorted property numbers), each property's name, value function
-    and series list.  A row then costs its values plus one record: no
-    ``Signature`` is built and no provider is looked up again.  A provider
-    that fails is named by the loop that called it; with ``--steps 0`` the
-    t=0 values the report reads are first evaluated the same way.
+    and a window of its last ``window`` values.  A row then costs its values
+    plus one record: no ``Signature`` is built and no provider is looked up
+    again.  A provider that fails is named by the loop that called it; with
+    ``--steps 0`` the t=0 values are still evaluated the same way.  The
+    report reads provider kinds only.
     """
     with ExitStack() as stack:
         config_path = _resolve_config(args.config, stack)
@@ -508,14 +510,14 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
             )
         names[k], owners[column] = column, name
     inputs = {"config": os.path.abspath(str(config_path)), "steps": steps, "window": window}
-    series: dict[tuple[int, int], list[Optional[int]]] = {}  # (particle, property) -> values
+    series: dict[tuple[int, int], deque[Optional[int]]] = {}  # (particle, property) -> last values
     plans = []
     for particle in u.particles:
         order = sorted(particle.providers)
         cells = []
         for k in order:
-            values = series[particle.id, k] = []
-            cells.append((owners[names[k]], universe.value_function(particle.providers[k]), values.append))
+            last = series[particle.id, k] = deque(maxlen=window)
+            cells.append((owners[names[k]], universe.value_function(particle.providers[k]), last.append))
         row = emit.kind("t", "particle", *[names[k] for k in order], record="signature")
         plans.append((particle.id, row, cells))
     try:
@@ -534,21 +536,19 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
     except universe.ProviderError as exc:  # pid and name are those of the call that raised
         raise CliError(f"{config_path}: provider for {name!r} of particle {pid!r}: {exc}", inputs) from exc
     report = universe.check_predictability_obstruction(u)
-    verdicts: dict[str, list[str]] = {"predictable": [], "random": [], "undetermined": [], "horizon-limited": []}
-    for (pid, k), values in sorted(series.items()):
-        label = f"{pid}.{names[k]}"
-        if not values:  # --steps 0 draws no verdict
-            continue
-        if None in values:
-            verdicts["horizon-limited"].append(label)
-            continue
-        verdict = universe.classify_predictability(values, window)
-        if isinstance(verdict, universe.Predictable):
-            verdicts["predictable"].append(label)
-        elif isinstance(verdict, universe.Random):
-            verdicts["random"].append(label)
-        else:
-            verdicts["undetermined"].append(label)
+    kinds = {universe.Predictable: "predictable", universe.Random: "random",
+             universe.Undetermined: "undetermined", type(None): "horizon-limited"}
+    verdicts: dict[str, list[str]] = {kind: [] for kind in kinds.values()}
+    for (pid, k), last in sorted(series.items()):
+        # The last ``window`` values give the verdict of the whole series:
+        # fewer than ``window`` values are the whole series (Undetermined), and
+        # otherwise the verdict compares only the last ``window``.  A value is
+        # None only at t >= the horizon, which a sim never moves, so a series
+        # holds a None exactly when its last value is None.  Indexing a deque
+        # is not O(1), so the verdict reads a list.
+        if last:  # --steps 0 draws no verdict
+            verdict = None if None in last else universe.classify_predictability(list(last), window)
+            verdicts[kinds[type(verdict)]].append(f"{pid}.{names[k]}")
     fields = ("classification", "particles", "fundamental", "initial_materialized", "predictable",
               "random", "undetermined", "horizon_limited", "window")
     emit.kind(*fields, record="report")(

@@ -228,10 +228,6 @@ class Particle:
     id: int
     providers: Mapping[int, Provider]
 
-    @property
-    def initial_signature(self) -> Signature:
-        return particle_signature(self, 0)
-
 
 def particle_signature(particle: Particle, t: int) -> Signature:
     values = {k: provider_value(particle.providers[k], t) for k in sorted(particle.providers)}
@@ -440,19 +436,19 @@ class ObstructionReport:
 def check_predictability_obstruction(u: Universe) -> ObstructionReport:
     """Report initial-signature knowability and horizon obstructions per particle.
 
-    The universe is pre-destined when no particle is horizon-backed,
-    quantum when every particle is horizon-backed only, and partially
-    pre-destined otherwise.  Particles whose providers are all uniform
-    are the fundamental ones; a quantum universe has none.
+    Only provider kinds are read; no provider runs, so a rule that fails is
+    not found here.  A uniform value is never None and a horizon value at
+    t=0 is None only at horizon 0, so the initial signature is materialized
+    when every horizon is above 0.  The universe is pre-destined when no
+    particle is horizon-backed, quantum when every particle is
+    horizon-backed only, and partially pre-destined otherwise.  Particles
+    whose providers are all uniform are the fundamental ones; a quantum
+    universe has none.
     """
     reports = []
     for particle in u.particles:
-        initial = particle.initial_signature
-        materialized = all(value is not None for value in initial.values.values())
-        kinds = [isinstance(p, HorizonProvider) for p in particle.providers.values()]
-        has_horizon = any(kinds)
-        fundamental = not has_horizon
-        reports.append(ParticleReport(particle.id, materialized, has_horizon, fundamental))
+        horizons = [p.machine.horizon for p in particle.providers.values() if isinstance(p, HorizonProvider)]
+        reports.append(ParticleReport(particle.id, all(h > 0 for h in horizons), bool(horizons), not horizons))
     any_uniform = any(
         isinstance(p, UniformProvider)
         for particle in u.particles

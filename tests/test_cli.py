@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from godelsim import beta, cli, universe
+from godelsim import beta, cli, collapse, universe
 from godelsim.machine import (
     ID,
     Halted,
@@ -392,7 +392,7 @@ FAILING_RULES = [
     (BOUNCE_TM, 3, "machine rule looped at t=1; uniform rules must terminate"),
     # No symbol 1: t ones cannot be read from t=1 on.
     (NOX_TM, 3, "machine rule cannot read its input at t=1: symbol '1' not in machine alphabet"),
-    # A loop on the blank tape: at --steps 0 the report's t=0 evaluation finds it.
+    # A loop on the blank tape: at --steps 0, which writes no row, the t=0 check finds it.
     (LOOP_TM, 2, "machine rule looped at t=0; uniform rules must terminate"),
     (LOOP_TM, 0, "machine rule looped at t=0; uniform rules must terminate"),
 ]
@@ -906,8 +906,27 @@ def test_universe_sim_rows_build_no_signature(monkeypatch):
     monkeypatch.setattr(universe, "Signature", counted)
     code, out, _ = invoke("universe", "sim", "--config", "mixed", "--steps", "50")
     assert code == 0 and len(records_of(out)) == 2 * 50 + 1
-    # The report's initial signatures, one a particle, are all that is built.
-    assert built == [0, 0]
+    # The report reads provider kinds only, so no signature is built at all.
+    assert built == []
+
+
+@pytest.mark.parametrize("steps", [0, 4])
+def test_universe_sim_runs_each_machine_backed_t0_value_once(tmp_path, monkeypatch, steps):
+    (tmp_path / "bump.tm").write_text(BUMP_TM, encoding="utf-8")
+    config = tmp_path / "once.json"
+    providers = {"rule": "uniform:machine,file=bump.tm", "spin": "horizon:parity,k0=3"}
+    config.write_text(
+        json.dumps({"properties": list(providers), "particles": [{"id": 1, "providers": providers}]}),
+        encoding="utf-8",
+    )
+    calls = []
+    value_at, evaluate = universe.MachineRule.value_at, collapse.evaluate
+    monkeypatch.setattr(universe.MachineRule, "value_at", lambda rule, t: calls.append(("rule", t)) or value_at(rule, t))
+    monkeypatch.setattr(collapse, "evaluate", lambda hm, n: calls.append(("spin", n)) or evaluate(hm, n))
+    code, out, _ = invoke("universe", "sim", "--config", str(config), "--steps", str(steps))
+    assert code == 0 and len(records_of(out)) == steps + 1
+    # The first row, or the t=0 check of --steps 0, runs each; the report runs neither.
+    assert sorted(call for call in calls if call[1] == 0) == [("rule", 0), ("spin", 0)]
 
 
 # --- gu run --trace against records rebuilt from the library -------------------
@@ -1093,6 +1112,15 @@ def test_csv_run_trace_memory_grows_with_the_tape_not_the_output():
     # Both outputs pass the 1 MB that the spool holds in memory, so both rows go to disk.
     assert len(invoke(*run(1000))[1]) > 2 * (1 << 20)
     assert peak_traced(*run(2000)) < 3 * peak_traced(*run(1000))
+
+
+def test_universe_sim_memory_is_flat_in_the_steps():
+    def peak(steps):
+        return peak_traced("universe", "sim", "--config", "mixed", "--steps", str(steps))
+
+    # Each series keeps its last --window values.  Series kept whole grow by
+    # about 55 bytes a step, so they peak 7 times higher at 10 000 than at 1 000.
+    assert peak(10_000) < 1.5 * peak(1_000)
 
 
 def test_dovetail_memory_is_flat_in_the_global_budget():
