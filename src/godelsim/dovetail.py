@@ -17,7 +17,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import GodelsimError
 from .machine import (
-    BudgetExceeded,
+    _HALTS,
+    _LOOPS,
     Halted,
     ID,
     LoopDetected,
@@ -129,6 +130,10 @@ class _TaskState:
 
 _LiveRun = tuple[int, int, _TaskState, Optional[Runner]]
 
+# What a visit gives in place of a step for a run that has taken its
+# sub-budget and does not halt.
+_SPENT = object()
+
 
 def dovetail(
     tasks: Sequence[SearchTask],
@@ -147,9 +152,13 @@ def dovetail(
     loops or spends its sub-budget leaves the list and never emits another
     event, so a sweep costs O(live runs + 1) and memory stays O(live runs),
     however many ranks have been admitted.  Admission builds one tuple and
-    one ``Runner``, and a trial that loops back to its start at step 2 (as
-    most trials of a looper task do) is decided there by one comparison of
-    run keys, so a short trial costs about its steps.
+    one ``Runner``.  Each visit takes the runner's internal step
+    (``Runner._advance``), which reports a halt or a loop by a sentinel:
+    a loop is counted by identity and no ``LoopDetected`` is built, and a
+    ``Halted`` is built only for the acceptance test.  A trial that loops
+    back to a blank start at step 2, as most trials of a looper task do,
+    is decided there by a look at the cells the run holds, with no run
+    key, so a short trial costs about its steps.
     The first accepted halt in schedule order wins.  If every task reports
     itself exhausted and all spawned runs have died unaccepted, the
     per-task tallies are returned; otherwise the global step budget bounds
@@ -197,22 +206,20 @@ def dovetail(
             if global_step == global_budget:
                 return GlobalBudgetExceeded(global_budget)
             global_step += 1
-            if run.steps == sub_budget:
-                outcome = run.halted() or BudgetExceeded(sub_budget)
-            else:
-                outcome = run.advance()
+            outcome = run._advance() if run.steps != sub_budget else run._stops() or _SPENT
             if outcome is None:
                 result = "advanced"
                 survivors.append(entry)
-            elif isinstance(outcome, Halted):
-                if state.task.accept(outcome):
+            elif outcome is _LOOPS:
+                result = "loop-detected"
+                state.loops_detected += 1
+            elif outcome is _HALTS:
+                halted = run._halt()
+                if state.task.accept(halted):
                     result = "halted-accepted"
                 else:
                     result = "halted-rejected"
                     state.halted_rejected += 1
-            elif isinstance(outcome, LoopDetected):
-                result = "loop-detected"
-                state.loops_detected += 1
             else:
                 result = "sub-budget-exhausted"
                 state.sub_budget_exhausted += 1
@@ -221,8 +228,7 @@ def dovetail(
                     SchedulerEvent(global_step, rank, state.task.task_id, trial, result)
                 )
             if result == "halted-accepted":
-                assert isinstance(outcome, Halted)
-                return FirstSuccess(state.task.task_id, trial, outcome)
+                return FirstSuccess(state.task.task_id, trial, halted)
         live = survivors
 
 

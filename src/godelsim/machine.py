@@ -353,10 +353,14 @@ def _widened(machine: Machine, state: str, symbols: Iterable[str]) -> Machine:
     return Machine(machine.states | {state}, machine.alphabet | set(symbols), machine.transitions, state)
 
 
-# What ``Runner._steps`` and ``Runner._verdict`` give for a run that stops on
-# a configuration no rule applies to: the ``Halted`` it stands for costs a
-# decoded snapshot, which only callers that read the final tape build.
+# What ``Runner._advance``, ``Runner._steps`` and ``Runner._verdict`` give
+# for a run that stops on a configuration no rule applies to, and for one
+# whose step repeats an earlier configuration (its period kept on the
+# runner).  The ``Halted`` the first stands for costs a decoded snapshot,
+# and the ``LoopDetected`` of the second a frozen dataclass, so only
+# callers that read them build them (``Runner._built``).
 _HALTS = object()
+_LOOPS = object()
 
 
 class Runner:
@@ -385,9 +389,15 @@ class Runner:
     ones off the run instead, so a caller that wants only those (as
     ``run_for_ones`` and ``run_value`` do) builds no ``Halted``.
 
-    ``run`` without a step hook takes its steps in one batched loop over
-    local variables (``_steps``); ``advance`` takes one step, for callers
-    that interleave runs or watch each step.
+    Internally a halt or a loop is a sentinel, ``_HALTS`` or ``_LOOPS``
+    (with the period in ``period``), and the ``Halted`` or
+    ``LoopDetected`` it stands for is built only at the edge, where a
+    caller reads it (``_built``): in ``advance``, ``run``, ``run_for_ones``
+    and ``run_value``.  ``run`` without a step hook takes its steps in one
+    batched loop over local variables (``_steps``); ``_advance`` takes one
+    step, for callers that interleave runs (the dovetail scheduler, which
+    only counts a loop) or watch each step (``run`` with a hook), and
+    ``advance`` is ``_advance`` with its verdicts built.
 
     With ``detect_loops`` each visited configuration is keyed by one int,
     ``fp * len(table) + row``, where fp is the fingerprint
@@ -403,13 +413,15 @@ class Runner:
     comes straight from ``start`` when the hit is on step 0, as every
     loop back to the start is, and from a replay from ``start`` otherwise.
     A key costs O(w log w) for the w cells the configuration wrote, however
-    long the base run is.
+    long the base run is.  A hit on the key of a start with no base run
+    and no non-blank cell needs no run key at all: it matches the start
+    exactly when the run holds no non-blank cell.
     """
 
     __slots__ = (
         "machine", "compiled", "table", "start", "row", "head", "tape",
         "base_len", "base_symbol", "base_code", "miss",
-        "steps", "seen", "exact", "fp", "mod", "factors", "size",
+        "steps", "seen", "exact", "fp", "mod", "factors", "size", "period",
     )
 
     def __init__(self, machine: Machine, start: ID, detect_loops: bool = True):
@@ -485,14 +497,17 @@ class Runner:
         ``LoopDetected`` when the new configuration repeats an earlier one
         up to translation, and ``None`` otherwise.
         """
+        return self._built(self._advance())
+
+    def _advance(self) -> Optional[object]:
+        """``advance`` with ``_HALTS`` and ``_LOOPS`` in place of the verdicts it builds."""
         tape, head = self.tape, self.head
         old = tape.get(head, self.miss)
         if old is None:
             old = self.base_code if 0 <= head < self.base_len else 0
         rule = self.table[self.row + old]
         if rule is None:
-            self._stop(old)
-            return self._halt()
+            return self._stop(old)
         self.row, new, move = rule
         if new != old:
             tape[head] = new
@@ -508,10 +523,10 @@ class Runner:
             return None
         return self._confirm(key, first)
 
-    def _steps(self, k: int) -> Optional[LoopDetected | object]:
-        """Take up to ``k`` steps: ``LoopDetected``, ``_HALTS`` on a halt, or ``None`` after ``k`` steps.
+    def _steps(self, k: int) -> Optional[object]:
+        """Take up to ``k`` steps: ``_LOOPS`` on a loop, ``_HALTS`` on a halt, or ``None`` after ``k`` steps.
 
-        ``advance`` in one loop over local variables, written back to the
+        ``_advance`` in one loop over local variables, written back to the
         run at an outcome, at a key hit (which ``_confirm`` decides against
         the run as it stands) and at the end.
         """
@@ -571,22 +586,21 @@ class Runner:
         cell the head left.  Without it the steps are batched.
         """
         if on_step is None:
-            outcome = self._verdict(budget)
-            return self._halt() if outcome is _HALTS else outcome
+            return self._built(self._verdict(budget))
         if budget < 0:
             raise GodelsimError("budget must be >= 0")
         on_step(self)
         for _ in range(budget):
-            outcome = self.advance()
-            if isinstance(outcome, Halted):
-                return outcome
+            outcome = self._advance()
+            if outcome is _HALTS:
+                return self._halt()
             on_step(self)
             if outcome is not None:
-                return outcome
+                return self._built(outcome)
         return self.halted() or BudgetExceeded(budget)
 
-    def _verdict(self, budget: int) -> LoopDetected | BudgetExceeded | object:
-        """``run(budget)`` without a step hook, with ``_HALTS`` in place of its ``Halted``."""
+    def _verdict(self, budget: int) -> BudgetExceeded | object:
+        """``run(budget)`` without a step hook, with ``_HALTS`` and ``_LOOPS`` in place of its verdicts."""
         if budget < 0:
             raise GodelsimError("budget must be >= 0")
         return self._steps(budget) or self._stops() or BudgetExceeded(budget)
@@ -614,6 +628,14 @@ class Runner:
     def _halt(self) -> Halted:
         """The run's ``Halted``, once ``_stop`` has let the halt stand."""
         return Halted(self.steps, self.snapshot())
+
+    def _built(self, outcome: Optional[object]) -> Optional[RunOutcome]:
+        """``outcome`` with ``_HALTS`` or ``_LOOPS`` built into the ``Halted`` or ``LoopDetected`` it stands for."""
+        if outcome is _HALTS:
+            return self._halt()
+        if outcome is _LOOPS:
+            return LoopDetected(self.steps, self.period)
+        return outcome
 
     def _canonical_key(self, at_start: bool = False) -> tuple:
         """The current configuration (or, ``at_start``, the start) up to translation.
@@ -667,18 +689,31 @@ class Runner:
         shift = runs[0][0]
         return row, head - shift, tuple([(offset - shift, length, sym) for offset, length, sym in runs])
 
-    def _confirm(self, key: int, first: int) -> Optional[LoopDetected]:
-        """Decide a key hit exactly, against every earlier configuration with this key.
+    def _confirm(self, key: int, first: int) -> Optional[object]:
+        """Decide a key hit exactly: ``_LOOPS``, with the period kept in ``period``, or ``None``.
 
-        The first hit on a key builds the key of the earlier configuration
+        The hit is checked against every earlier configuration with this
+        key.  On the first hit on a key, the earlier step is 0 when the key
+        is the start's.  A start with no base run and no non-blank cell
+        has the run key ``(row, 0, ())``, and the key is one-to-one in
+        (fp, row), so the hit already has the start's row: it matches the
+        start exactly when no cell the run holds has a non-blank code,
+        which needs no run key.
+        Any other first hit builds the key of the earlier configuration
         (the start's straight from ``start`` when the earlier step is 0,
         else by replaying a runner without loop detection from ``start`` to
         it) and compares it with the current one: one comparison decides
         the hit, and a table of exact keys is kept for this key only when
         the two differ, so that a later hit on it is checked against both.
         """
-        current = self._canonical_key()
         exact = self.exact.get(key)
+        if exact is None and not first and not self.base_len and not any(self.tape.values()):
+            tape = self.start.tape
+            writes = tape.writes if type(tape) is Tape else tape
+            if not writes or all(sym == BLANK for sym in writes.values()):
+                self.period = self.steps
+                return _LOOPS
+        current = self._canonical_key()
         if exact is None:
             if first:
                 earlier = Runner(self.machine, self.start, detect_loops=False)
@@ -694,7 +729,8 @@ class Runner:
             prev = exact.setdefault(current, self.steps)
             if prev == self.steps:
                 return None
-        return LoopDetected(self.steps, self.steps - prev)
+        self.period = self.steps - prev
+        return _LOOPS
 
 
 def run_with_loop_detection(
@@ -742,7 +778,7 @@ def run_for_ones(machine: Machine, start: ID, budget: int) -> int | LoopDetected
     """
     runner = Runner(machine, start)
     outcome = runner._verdict(budget)
-    return runner.count() if outcome is _HALTS else outcome
+    return runner.count() if outcome is _HALTS else runner._built(outcome)
 
 
 _TWO_STATE_LOOPER = Machine.from_rules(

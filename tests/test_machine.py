@@ -5,7 +5,7 @@ import inspect
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -40,7 +40,17 @@ from godelsim.machine import (
     unary_id,
     value_start,
 )
-from godelsim.dovetail import GlobalBudgetExceeded, SearchTask, SubRun, dovetail, unary_output
+from godelsim.dovetail import (
+    GlobalBudgetExceeded,
+    MachineBackedFunction,
+    SearchTask,
+    SubRun,
+    Vacuous,
+    VacuousReason,
+    dovetail,
+    total_mu,
+    unary_output,
+)
 from godelsim.universe import MachineRule, ProviderError
 
 from helpers import canonical_tuple, naive_outcome, random_id, random_machine
@@ -933,3 +943,158 @@ def test_short_runs_build_only_what_their_callers_read(monkeypatch):
     # sweeps; the trial admitted in the last one is cut before its first step.
     assert counts["Runner"] == len(trials) == 501
     assert len(frames) == 1  # diagonal_pairs, resumed once a sweep
+
+
+# --- loop verdicts built only where read, blank-start hits decided without keys ------
+
+
+def blank_writes(rng):
+    """Blanks written over a few cells, as a run that erased every cell it wrote leaves them."""
+    return {cell: BLANK for cell in range(rng.randint(-4, 0), rng.randint(0, 5)) if rng.random() < 0.6}
+
+
+def step_zero_starts(rng, machine):
+    """Starts with no non-blank cell, plain-dict ``cells:`` starts, unary starts (one erased) and foreign symbols.
+
+    Each random start also gives a start on its loop, if it has one: the
+    configuration a period before the first repeat, as a plain dict, with a
+    foreign symbol beyond the head's reach and as the writes of a ``Tape``.
+    A run from it loops back to its start.
+    """
+    head = rng.randint(-3, 3)
+    cells = random_id(rng).tape
+    starts = [
+        blank_id(machine),
+        unary_id(machine, 0),
+        ID("a", head, Tape(0, rng.choice(("1", "0", "x")), blank_writes(rng))),
+        ID("a", head, Tape(0, BLANK, {})),
+        ID("a", head, {head: rng.choice(("0", "1"))}),
+        # Codes 1 + 2 and r = 1 mod 3: under modulus 3 this start keys like a blank tape.
+        ID("a", head, {head: "0", head + 1: "1"}),
+        unary_id(machine, rng.randint(1, 6)),
+        ID("a", head, Tape(3, "1", {0: BLANK, 1: BLANK, 2: BLANK})),
+        ID(rng.choice(("a", "b", "c")), head, cells),
+        ID("a", head, {**cells, rng.randint(-3, 3): "x"}),
+        ID("a", head, Tape(0, "1", {**blank_writes(rng), rng.randint(-3, 3): "x"})),
+    ]
+    for start in list(starts):
+        outcome = outcome_or_error(brute_force_run, machine, start, 40)
+        if isinstance(outcome, LoopDetected):
+            on_loop = naive_outcome(machine, start, outcome.first_repeat_step - outcome.period)[1]
+            far = on_loop.head + rng.choice((-1, 1)) * 60
+            starts += [
+                on_loop,
+                ID(on_loop.state, on_loop.head, {**on_loop.tape, far: "x"}),
+                ID(on_loop.state, on_loop.head, Tape(0, "1", {**blank_writes(rng), **on_loop.tape})),
+            ]
+    return starts
+
+
+def naive_checked(outcome, machine, start, budget):
+    """Assert that ``outcome`` is the verdict that plain stepping (``naive_outcome``) gives."""
+    if isinstance(outcome, str):
+        with pytest.raises(MalformedIDError) as raised:
+            naive_outcome(machine, start, budget)
+        assert f"MalformedIDError: {raised.value}" == outcome
+        return
+    assert outcome == brute_force_run(machine, start, budget)
+    if isinstance(outcome, Halted):
+        assert Halted(*naive_outcome(machine, start, outcome.steps)[1:]) == outcome
+    elif isinstance(outcome, LoopDetected):
+        later = naive_outcome(machine, start, outcome.first_repeat_step)
+        earlier = naive_outcome(machine, start, outcome.first_repeat_step - outcome.period)
+        assert later[0] == earlier[0] == "running"
+        assert canonicalize(later[1]) == canonicalize(earlier[1])
+    else:
+        assert naive_outcome(machine, start, budget)[0] == "running"
+
+
+@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+def test_step_zero_decisions_match_run_keys(monkeypatch, modulus):
+    monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
+    key_of, confirm = Runner._canonical_key, Runner._confirm
+    built = 0
+
+    def counted_key(runner, at_start=False):
+        nonlocal built
+        built += 1
+        return key_of(runner, at_start)
+
+    decisions = {}
+
+    def checked(runner, key, first):
+        nonlocal built
+        if first or key in runner.exact:
+            return confirm(runner, key, first)
+        # The first hit on the start's key: decided as the run keys decide it.
+        same = key_of(runner) == key_of(runner, at_start=True)
+        built = 0
+        outcome = confirm(runner, key, first)
+        assert (outcome is godelsim.machine._LOOPS) == same
+        blank = not runner.base_len and not any(runner.start.tape.values())
+        # Only a start with no base run and no non-blank cell skips the keys, and only when the hit matches it.
+        assert built == (0 if blank and same else 2)
+        assert (key in runner.exact) == (not same)
+        decisions[blank, same] = decisions.get((blank, same), 0) + 1
+        return outcome
+
+    monkeypatch.setattr(Runner, "_canonical_key", counted_key)
+    monkeypatch.setattr(Runner, "_confirm", checked)
+    rng = random.Random(181)
+    kinds = set()
+    for _ in range(250):
+        machine = random_machine(rng)
+        for start in step_zero_starts(rng, machine):
+            budget = rng.randint(0, 40)
+            outcome = outcome_or_error(run_with_loop_detection, machine, start, budget)
+            naive_checked(outcome, machine, start, budget)
+            kinds.add(type(outcome))
+    assert kinds == {Halted, LoopDetected, BudgetExceeded, str}
+    assert min(decisions.get((blank, True), 0) for blank in (True, False)) >= 10
+    # Three fingerprint values make hits on the start's key that the tape check rejects.
+    if modulus == 3:
+        assert min(decisions.get((blank, False), 0) for blank in (True, False)) >= 100
+
+
+def test_loop_verdicts_are_built_only_where_a_caller_reads_them(monkeypatch):
+    built = []
+    init = LoopDetected.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    keys = 0
+    key_of = Runner._canonical_key
+
+    def counted_key(runner, at_start=False):
+        nonlocal keys
+        keys += 1
+        return key_of(runner, at_start)
+
+    monkeypatch.setattr(LoopDetected, "__init__", recorded_init)
+    monkeypatch.setattr(Runner, "_canonical_key", counted_key)
+    # A looper dovetail counts each loop and builds no verdict and no run key.
+    looper = two_state_looper()
+    tasks = [SearchTask(i, lambda y: SubRun(looper, blank_id(looper)), lambda h: True) for i in range(2)]
+    outcome = dovetail(tasks, 64, 1000)
+    assert outcome == GlobalBudgetExceeded(1000)
+    assert built == [] and keys == 0
+    # The callers that return or read a loop build one LoopDetected(2, 2) each.
+    g = MachineBackedFunction(lambda x, y: x + y + 1, frozenset({(0, 0)}))
+    calls = [
+        (lambda: run_value(None), LoopDetected(2, 2)),
+        (lambda: evaluate(make_horizon_machine(lambda n: n, 3), 5), LoopDetected(2, 2)),
+        (lambda: total_mu(g, (0,), 5), Vacuous(VacuousReason.LOOP_DETECTED)),
+    ]
+    for call, expected in calls:
+        built.clear()
+        assert call() == expected
+        assert len(built) == 1
+        verdict, fresh = built[0], LoopDetected(2, 2)
+        assert verdict == fresh and hash(verdict) == hash(fresh) and repr(verdict) == repr(fresh)
+        with pytest.raises(FrozenInstanceError):
+            verdict.period = 3
+    assert keys == 0
+    with pytest.raises(GodelsimError):
+        LoopDetected(1, 2)
