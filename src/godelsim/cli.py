@@ -9,8 +9,13 @@ deterministic: identical arguments and files give byte-identical output.
 A command writes its records through ``_Emitter.kind``: one writer per
 record kind, compiled once, that takes the values positionally.  A JSONL
 record then costs the text of its values, and a CSV row is spliced into
-the header's columns without parsing the record again.  A reader that
-closes stdout early ends the command with exit 1 and one manifest.
+the header's columns without parsing the record again.  A kind names its
+int columns, the keys whose values are exact ints as a rule (steps,
+ranks, trials, heads, universe t and uniform values), and a record whose
+values there are all ints splices them with ``%d``, looking up no type:
+a ``gu dovetail`` event, four ints under a fixed ``result``, is one
+``template % values``.  A reader that closes stdout early ends the
+command with exit 1 and one manifest.
 
 ``main`` may be called any number of times in one process.  It builds the
 parser on its first call (not at import) and reuses it; ``GU_FORMAT`` is
@@ -35,8 +40,9 @@ from collections import deque
 from contextlib import ExitStack, closing
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from . import GodelsimError, __version__, beta, collapse, corpus, dovetail, universe
 from .machine import (
@@ -145,9 +151,9 @@ _CSV_TEXT = {
 class _Emitter:
     """Writes data records of JSON scalars, through one compiled writer per record kind.
 
-    ``kind(*keys, **fixed)`` compiles a kind once; its writer takes the
-    values of ``keys`` positionally, and the ``fixed`` values are part of
-    the kind.  JSONL writes each record at once, as ``json.dumps(record,
+    ``kind(*keys, ints=..., **fixed)`` compiles a kind once; its writer
+    takes the values of ``keys`` positionally, and the ``fixed`` values are
+    part of the kind.  JSONL writes each record at once, as ``json.dumps(record,
     sort_keys=True)`` would.  A CSV header is the sorted union of the keys
     of every record written, so CSV keeps each record in a temporary file
     (in memory up to 1 MB, then on disk) as its kind id and its fields,
@@ -166,10 +172,19 @@ class _Emitter:
             self.kinds: list[dict[str, str]] = []  # per kind id: column -> "%s" or fixed text
             self.used: list[int] = []  # the kind ids that wrote a record
 
-    def kind(self, *keys: str, **fixed):
-        """The writer of records with ``keys`` (in this order) and the ``fixed`` values."""
+    def kind(self, *keys: str, ints: Collection[str] = (), **fixed):
+        """The writer of records with ``keys`` (in this order) and the ``fixed`` values.
+
+        ``ints`` names the keys whose values are exact ints as a rule.  A
+        record whose values there are all of type ``int`` takes them
+        through ``%d`` with no lookup of their type; any other record, one
+        with a bool, None or a str there included, takes every value
+        through the type tables, so the text is the same either way.
+        """
         if len({*keys, *fixed}) != len(keys) + len(fixed):
             raise ValueError(f"a record kind repeats a key: {keys} {sorted(fixed)}")
+        if not set(ints) <= set(keys):
+            raise ValueError(f"int columns {sorted(set(ints) - set(keys))} are not keys of the kind")
         order = sorted(range(len(keys)), key=keys.__getitem__)
         if self.spool is None:
             table, other = _JSON_TEXT, _encode
@@ -179,15 +194,20 @@ class _Emitter:
         for key, value in fixed.items():
             cells[key] = table.get(type(value), other)(value).replace("%", "%%")
         if self.spool is None:
-            template = ", ".join(
-                encode_basestring_ascii(key).replace("%", "%%") + ": " + cells[key] for key in sorted(cells)
-            )
-            template = "{" + template + "}\n"
+
+            def render(cells: dict[str, str]) -> str:
+                items = ", ".join(
+                    encode_basestring_ascii(key).replace("%", "%%") + ": " + cells[key] for key in sorted(cells)
+                )
+                return "{" + items + "}\n"
+
             sink = self.out.write
         else:
             kid = len(self.kinds)
             self.kinds.append(cells)
-            template = str(kid) + (_SEP + "%s") * len(keys) + "\n"
+
+            def render(cells: dict[str, str]) -> str:
+                return str(kid) + "".join([_SEP + cells[keys[i]] for i in order]) + "\n"
 
             def sink(line: str) -> None:  # the first record of a kind puts its keys in the header
                 nonlocal sink
@@ -195,12 +215,40 @@ class _Emitter:
                 sink = self.spool.write
                 sink(line)
 
+        template = render(cells)
         text = table.get
 
         def write(*values) -> None:
             sink(template % tuple([text(type(values[i]), other)(values[i]) for i in order]))
 
-        return write
+        if not ints:
+            return write
+        spliced = render({**cells, **dict.fromkeys(ints, "%d")})
+        # The values in template order, which is sorted key order; values that are already in it stay as they are.
+        pick = tuple if order == sorted(order) else itemgetter(*order)
+        if len(ints) == len(keys):
+
+            def write_ints(*values) -> None:
+                for value in values:
+                    if type(value) is not int:
+                        return write(*values)
+                sink(spliced % pick(values))
+
+            return write_ints
+        checked = [keys.index(key) for key in ints]
+        rest = [at for at, i in enumerate(order) if keys[i] not in ints]  # in template order
+
+        def write_some_ints(*values) -> None:
+            for i in checked:
+                if type(values[i]) is not int:
+                    return write(*values)
+            out = list(pick(values))
+            for at in rest:
+                value = out[at]
+                out[at] = text(type(value), other)(value)
+            sink(spliced % tuple(out))
+
+        return write_some_ints
 
     def finish(self) -> None:
         """Write what is still held: the CSV header and rows."""
@@ -313,7 +361,7 @@ class _TraceView:
         self.syms = [tape[cell] for cell in self.cells]
         self._renumber()
         self.head = runner.head
-        self.visit = emit.kind("head", "state", "step", "tape", record="visit")
+        self.visit = emit.kind("head", "state", "step", "tape", ints=("head", "step"), record="visit")
 
     def _renumber(self) -> None:
         shift = self.cells[0] if self.cells else 0
@@ -443,7 +491,7 @@ def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> _Result:
     tasks = []
     resolved = []
     for index, spec in enumerate(args.task):
-        path, _, predicate = spec.partition("=")
+        path, _, predicate = spec.rpartition("=")
         accept = dovetail.ACCEPT.get(predicate)
         if accept is None:
             raise CliError(f"task {spec!r} must end in =zero-of or =nonzero-of")
@@ -460,10 +508,17 @@ def cmd_dovetail(args: argparse.Namespace, emit: _Emitter) -> _Result:
         )
         resolved.append({"machine": os.path.abspath(path), "accept": predicate})
 
-    write = emit.kind("rank", "result", "step", "task", "trial", record="event")
+    # One kind per result, compiled when the result first occurs, so an event
+    # record is its four ints spliced into one template.
+    keys = ("rank", "step", "task", "trial")
+    writers = {}
 
     def observer(event: dovetail.SchedulerEvent) -> None:
-        write(event.rank, event.result, event.global_step, event.task_id, event.trial)
+        step, rank, task, trial, result = event
+        write = writers.get(result)
+        if write is None:
+            write = writers[result] = emit.kind(*keys, ints=keys, record="event", result=result)
+        write(rank, step, task, trial)
 
     outcome = dovetail.dovetail(tasks, args.sub_budget, args.global_budget, observer)
     if isinstance(outcome, dovetail.FirstSuccess):
@@ -518,7 +573,10 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
         for k in order:
             last = series[particle.id, k] = deque(maxlen=window)
             cells.append((owners[names[k]], universe.value_function(particle.providers[k]), last.append))
-        row = emit.kind("t", "particle", *[names[k] for k in order], record="signature")
+        # A uniform rule's values are ints; a horizon column also holds "horizon-exceeded".
+        uniform = [names[k] for k in order if isinstance(particle.providers[k], universe.UniformProvider)]
+        row = emit.kind("t", "particle", *[names[k] for k in order], ints=("t", "particle", *uniform),
+                        record="signature")
         plans.append((particle.id, row, cells))
     try:
         for t in range(steps):

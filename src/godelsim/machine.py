@@ -798,6 +798,8 @@ def two_state_looper() -> Machine:
 
 # Walks right over a run of ones, writing nothing, and halts on the first blank.
 _UNARY_READER = Machine.from_rules([("r", "1", "r", "1", "R")], "r")
+# The looper's blank start; a Runner never changes its start, so one serves every run.
+_LOOPER_START = blank_id(_TWO_STATE_LOOPER)
 
 
 def value_start(value: Optional[int]) -> tuple[Machine, ID]:
@@ -805,10 +807,11 @@ def value_start(value: Optional[int]) -> tuple[Machine, ID]:
 
     For a value v it is one shared reader on ``unary_id(reader, v)``, which
     halts after exactly v steps with the v ones it started on; for None,
-    a divergence, it is the two-state looper on a blank tape.
+    a divergence, it is the two-state looper on a blank tape, the same
+    start on every call.
     """
     if value is None:
-        return _TWO_STATE_LOOPER, blank_id(_TWO_STATE_LOOPER)
+        return _TWO_STATE_LOOPER, _LOOPER_START
     if value < 0:
         raise GodelsimError("value must be >= 0")
     return _UNARY_READER, unary_id(_UNARY_READER, value)
@@ -819,14 +822,18 @@ def run_value(value: Optional[int]) -> int | LoopDetected:
 
     The budget follows from the value, so the run always reaches a verdict:
     the reader halts after exactly ``value`` steps, and the looper, run
-    under loop detection, repeats its start at step 2.  The reader runs
+    under loop detection, repeats its start at step 2.  The looper takes
+    its two steps one at a time (``Runner._advance``), which for two steps
+    costs less than setting up the batched loop.  The reader runs
     without loop detection, at the cost of its steps alone, and its ones
     are read off the runner (``Runner.count``): no ``Halted`` and no final
     ``ID`` is built.  A reader that did not halt would raise.
     """
     machine, start = value_start(value)
     if value is None:
-        return run_for_ones(machine, start, 2)
+        runner = Runner(machine, start)
+        runner._advance()
+        return runner._built(runner._advance())
     # No reader configuration can repeat, even up to translation: the head
     # moves right every step over a tape that never changes, so its offset
     # from the leftmost 1 rises, and loop detection could only ever answer

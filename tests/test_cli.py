@@ -161,6 +161,20 @@ def test_dovetail_cli_trace_and_outcome():
     assert rows[0]["record"] == "event"
 
 
+def test_a_dovetail_task_splits_at_its_last_equals_sign(tmp_path):
+    machine = tmp_path / "a=b" / "counter.tm"
+    machine.parent.mkdir()
+    machine.write_text(Path(corpus_path("counter.tm")).read_text("utf-8"), "utf-8")
+    argv = ("dovetail", "--global-budget", "40")
+    code, out, err = invoke(*argv, f"{machine}=zero-of")
+    assert code == 0, err
+    assert out == invoke(*argv, corpus_path("counter.tm") + "=zero-of")[1]
+    assert json.loads(json.loads(err)["inputs"])["tasks"] == [{"machine": str(machine), "accept": "zero-of"}]
+    code, out, err = invoke(*argv, f"{machine}=a=b")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[0] == f"error: task '{machine}=a=b' must end in =zero-of or =nonzero-of"
+
+
 def test_missing_machine_file_is_a_clean_error(tmp_path):
     code, out, err = invoke("run", str(tmp_path / "ghost.tm"))
     assert code == 1 and out == ""
@@ -1018,8 +1032,8 @@ STRINGS = ["", "visit", "a,b", 'say "hi"', "\r\n", "line\nbreak", "caf\u00e9 \u2
            "\x1b2", "\x1f", "\t", " lead", "\x00", "\ud800"]
 
 
-def random_value(rng):
-    kind = rng.randrange(6)
+def random_value(rng, kind=None):
+    kind = rng.randrange(6) if kind is None else kind
     if kind == 0:
         return rng.choice([0, 1, -1, 7, -(10**30), 2**64])
     if kind == 1:
@@ -1043,18 +1057,24 @@ def test_kind_writers_match_json_dumps_and_the_csv_round_trip():
                 chosen = rng.sample(KEYS, rng.randrange(1, 5))
                 split = rng.randrange(len(chosen) + 1)
                 fixed = {key: random_value(rng) for key in chosen[split:]}
-                kinds.append((chosen[:split], fixed))
+                ints = rng.sample(chosen[:split], rng.randrange(split + 1))
+                kinds.append((chosen[:split], ints, fixed))
             records, calls = [], []
             for _ in range(rng.randrange(8)):
                 index = rng.randrange(len(kinds))  # a kind may write no record at all
-                keys, fixed = kinds[index]
-                values = [random_value(rng) for _ in keys]
+                keys, ints, fixed = kinds[index]
+                # A declared int column mostly gets exact ints (0, negatives, past 4 300
+                # digits), and sometimes a bool, None or a str, which must give the same text.
+                values = [
+                    random_value(rng, rng.randrange(2) if key in ints and rng.randrange(4) else None)
+                    for key in keys
+                ]
                 records.append({**dict(zip(keys, values)), **fixed})
                 calls.append((index, values))
             for fmt in ("jsonl", "csv"):
                 out = io.StringIO()
                 emit = cli._Emitter(fmt, out)
-                writers = [emit.kind(*keys, **fixed) for keys, fixed in kinds]
+                writers = [emit.kind(*keys, ints=ints, **fixed) for keys, ints, fixed in kinds]
                 for index, values in calls:
                     writers[index](*values)
                 emit.finish()
@@ -1075,6 +1095,39 @@ def test_a_kind_with_a_repeated_key_is_refused():
         emit.kind("a", "a")
     with pytest.raises(ValueError):
         emit.kind("a", a=1)
+    with pytest.raises(ValueError):
+        emit.kind("a", ints=("b",))
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_an_int_column_gives_other_values_their_own_text(fmt):
+    # A bool is an int, but %d would write True as 1.
+    out = io.StringIO()
+    emit = cli._Emitter(fmt, out)
+    write = emit.kind("b", "a", ints=("a", "b"), record="r")
+    some = emit.kind("b", "s", ints=("b",), record="r")
+    for values in [(0, -5), (True, False), (None, 7), (3, "x"), (-(10**20), 1)]:
+        write(*values)
+        some(*values)
+    emit.finish()
+    if fmt == "jsonl":
+        assert out.getvalue().splitlines() == [
+            '{"a": -5, "b": 0, "record": "r"}', '{"b": 0, "record": "r", "s": -5}',
+            '{"a": false, "b": true, "record": "r"}', '{"b": true, "record": "r", "s": false}',
+            '{"a": 7, "b": null, "record": "r"}', '{"b": null, "record": "r", "s": 7}',
+            '{"a": "x", "b": 3, "record": "r"}', '{"b": 3, "record": "r", "s": "x"}',
+            '{"a": 1, "b": -100000000000000000000, "record": "r"}',
+            '{"b": -100000000000000000000, "record": "r", "s": 1}',
+        ]
+    else:
+        assert out.getvalue().splitlines() == [
+            "a,b,record,s",
+            "-5,0,r,", ",0,r,-5",
+            "False,True,r,", ",True,r,False",
+            "7,,r,", ",,r,7",
+            "x,3,r,", ",3,r,x",
+            "1,-100000000000000000000,r,", ",-100000000000000000000,r,1",
+        ]
 
 
 # --- streamed output: memory set by the tape, not by the records written ---------

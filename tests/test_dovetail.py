@@ -13,6 +13,7 @@ from godelsim.dovetail import (
     FirstSuccess,
     GlobalBudgetExceeded,
     MachineBackedFunction,
+    SchedulerEvent,
     SearchTask,
     SubRun,
     Vacuous,
@@ -96,6 +97,18 @@ def test_winner_matches_reference_scheduler_trace():
     assert events == ref_events
     assert isinstance(outcome, FirstSuccess)
     assert ref_outcome == ("first-success", outcome.task_id, outcome.trial, outcome.evidence.steps)
+
+
+def test_a_scheduler_event_is_a_named_tuple_of_its_fields():
+    events = []
+    dovetail([looper_task(0)], 8, 2, observer=events.append)
+    assert events == [(1, 0, 0, 0, "advanced"), (2, 0, 0, 0, "loop-detected")]
+    first = events[0]
+    assert first == SchedulerEvent(1, 0, 0, 0, "advanced") and first.result == "advanced"
+    assert repr(first) == "SchedulerEvent(global_step=1, rank=0, task_id=0, trial=0, result='advanced')"
+    assert hash(first) == hash((1, 0, 0, 0, "advanced"))
+    with pytest.raises(AttributeError):
+        first.rank = 5
 
 
 def test_all_exhausted_when_every_trial_loops():

@@ -682,6 +682,20 @@ def test_value_machine_realizes_a_value_or_a_divergence():
         run_value(-1)
 
 
+def test_a_divergence_runs_from_one_shared_start_in_two_steps():
+    machine, start = value_start(None)
+    assert value_start(None)[1] is start and start == blank_id(machine)
+    for _ in range(3):
+        assert run_value(None) == LoopDetected(2, 2) == run_for_ones(machine, start, 2)
+    assert start.tape == {}  # no run writes to the start it shares
+    # Past its horizon a horizon machine runs the looper, and so does a diverging trial.
+    hm = make_horizon_machine("parity", 3)
+    assert [evaluate(hm, n) for n in range(5)] == [0, 1, 0, LoopDetected(2, 2), LoopDetected(2, 2)]
+    g = MachineBackedFunction(lambda x, y: x + y + 1, frozenset({(1, 2)}))
+    assert total_mu(g, (1,), 5) == Vacuous(VacuousReason.LOOP_DETECTED)
+    assert total_mu(g, (1,), 2) == Vacuous(VacuousReason.BUDGET_EXCEEDED)
+
+
 def test_run_value_of_a_million_holds_no_memory():
     tracemalloc.start()
     try:
