@@ -148,6 +148,10 @@ _CSV_TEXT = {
 }
 
 
+# How many characters of spooled CSV lines ``_Emitter`` holds before it writes them to its file.
+_SPOOL_BATCH = 1 << 16
+
+
 class _Emitter:
     """Writes data records of JSON scalars, through one compiled writer per record kind.
 
@@ -158,7 +162,11 @@ class _Emitter:
     of every record written, so CSV keeps each record in a temporary file
     (in memory up to 1 MB, then on disk) as its kind id and its fields,
     already CSV-escaped; ``finish`` writes the header, then each row through
-    a splice into the columns built once per kind, parsing nothing.
+    a splice into the columns built once per kind, parsing nothing.  The
+    spooled lines go to the file in batches of ``_SPOOL_BATCH`` characters
+    (and one line), each in one ``writelines``, so the file checks for its
+    rollover to disk once a batch and not once a record, and at most one
+    batch is held besides it.
     Records not yet written when a command fails are dropped.
     """
 
@@ -171,6 +179,20 @@ class _Emitter:
             )
             self.kinds: list[dict[str, str]] = []  # per kind id: column -> "%s" or fixed text
             self.used: list[int] = []  # the kind ids that wrote a record
+            self.lines: list[str] = []  # spooled lines not yet in the file
+            lines, append, writelines = self.lines, self.lines.append, self.spool.writelines
+            held = 0  # characters in lines
+
+            def spooled(line: str) -> None:
+                nonlocal held
+                append(line)
+                held += len(line)
+                if held >= _SPOOL_BATCH:
+                    writelines(lines)
+                    lines.clear()
+                    held = 0
+
+            self.spooled = spooled
 
     def kind(self, *keys: str, ints: Collection[str] = (), **fixed):
         """The writer of records with ``keys`` (in this order) and the ``fixed`` values.
@@ -212,7 +234,7 @@ class _Emitter:
             def sink(line: str) -> None:  # the first record of a kind puts its keys in the header
                 nonlocal sink
                 self.used.append(kid)
-                sink = self.spool.write
+                sink = self.spooled
                 sink(line)
 
         template = render(cells)
@@ -262,6 +284,8 @@ class _Emitter:
             for kid in self.used
         }
         write = self.out.write
+        self.spool.writelines(self.lines)
+        self.lines.clear()
         self.spool.seek(0)
         for line in self.spool:
             parts = line[:-1].split(_SEP)

@@ -9,6 +9,7 @@ the manifest and confirms every verdict by plain simulation.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -68,7 +69,9 @@ class VerifyResult:
     detail: str
 
 
+@functools.cache
 def _corpus_root():
+    """The corpus directory, resolved once a process: ``gu corpus verify`` reads 14 files from it."""
     return resources.files("godelsim").joinpath("data/corpus")
 
 

@@ -304,9 +304,12 @@ def encode_id(desc: ID) -> bytes:
     return repr((desc.state, desc.head, cells)).encode("utf-8")
 
 
-# Karp–Rabin fingerprints of the tape relative to the head: modulus the
-# Mersenne prime 2**61 - 1, base fixed so keys are the same on every run.
-_FINGERPRINT_MODULUS = (1 << 61) - 1
+# Karp–Rabin fingerprints of the tape relative to the head, base fixed so
+# keys are the same on every run.  The modulus is the prime 2**60 - 93, so a
+# fingerprint is at most two 30-bit digits of a CPython int (2**61 - 1 took
+# three), and the base is a primitive root of it: its powers take all p - 1
+# nonzero values, where under 2**61 - 1 they took only (p - 1)/6.
+_FINGERPRINT_MODULUS = (1 << 60) - 93
 _FINGERPRINT_BASE = 1_000_003
 
 
@@ -400,12 +403,16 @@ class Runner:
     ``advance`` is ``_advance`` with its verdicts built.
 
     With ``detect_loops`` each visited configuration is keyed by one int,
-    ``fp * len(table) + row``, where fp is the fingerprint
-    sum(code(sym) * r**(cell - head)) mod p; as fp < p the key is
-    injective in (fp, row).  The start's fingerprint sums the base run in
-    closed form.  Being relative to the head, the fingerprint follows a
-    write or a one-cell move in O(1), and translates share a key, as they
-    share a form under ``canonicalize``.  r and p are read when the runner
+    ``fp + row``, where fp is the fingerprint
+    sum(code(sym) * r**(cell - head)) mod p.  The key is not one-to-one in
+    (fp, row): configurations in different states may share it, and the
+    exact check below tells them apart as it does any other collision.  So
+    a key costs one add, and a step updates fp as
+    ``(fp + (new - old)) * factor % p``, where the write's change is a small
+    int; with p below 2**60, fp is at most two 30-bit digits.  The start's
+    fingerprint sums the base run in closed form.  Being relative to the
+    head, the fingerprint follows a write or a one-cell move in O(1), and
+    translates share a key, as they share a form under ``canonicalize``.  r and p are read when the runner
     is built.  A key hit is only a candidate, decided exactly by
     ``_confirm``: it compares run keys (``_canonical_key``), which are
     equal exactly when the ``canonicalize`` forms are, so a collision costs
@@ -414,14 +421,15 @@ class Runner:
     loop back to the start is, and from a replay from ``start`` otherwise.
     A key costs O(w log w) for the w cells the configuration wrote, however
     long the base run is.  A hit on the key of a start with no base run
-    and no non-blank cell needs no run key at all: it matches the start
-    exactly when the run holds no non-blank cell.
+    and no non-blank cell needs no run key when the run holds no non-blank
+    cell either: both fingerprints are then exactly 0, so both keys are
+    rows, and equal keys are one row.
     """
 
     __slots__ = (
         "machine", "compiled", "table", "start", "row", "head", "tape",
         "base_len", "base_symbol", "base_code", "miss",
-        "steps", "seen", "exact", "fp", "mod", "factors", "size", "period",
+        "steps", "seen", "exact", "fp", "mod", "factors", "period",
     )
 
     def __init__(self, machine: Machine, start: ID, detect_loops: bool = True):
@@ -454,10 +462,9 @@ class Runner:
             return
         self.mod = mod = _FINGERPRINT_MODULUS
         self.factors = _fingerprint_factors(mod)[2]
-        self.size = size = len(compiled.table)
         if n or writes:
             self.fp = _start_fingerprint(n, symbol, writes, head, codes, mod)
-        self.seen = {self.fp * size + row: 0}
+        self.seen = {self.fp + row: 0}
         # Key -> {canonical key of a configuration: step}, for keys hit by
         # configurations that proved different.
         self.exact: dict[int, dict[tuple, int]] = {}
@@ -516,8 +523,8 @@ class Runner:
         seen = self.seen
         if seen is None:
             return None
-        self.fp = fp = (self.fp + new - old) * self.factors[move] % self.mod
-        key = fp * self.size + self.row
+        self.fp = fp = (self.fp + (new - old)) * self.factors[move] % self.mod
+        key = fp + self.row
         first = seen.setdefault(key, steps)
         if first == steps:
             return None
@@ -532,7 +539,7 @@ class Runner:
         """
         table, tape, miss, seen = self.table, self.tape, self.miss, self.seen
         base_len, base_code = self.base_len, self.base_code
-        factors, mod, size = (self.factors, self.mod, self.size) if seen is not None else (None, None, None)
+        factors, mod = (self.factors, self.mod) if seen is not None else (None, None)
         row, head, steps, fp = self.row, self.head, self.steps, self.fp
         end = steps + k
         while steps < end:
@@ -550,8 +557,8 @@ class Runner:
             steps += 1
             if seen is None:
                 continue
-            fp = (fp + new - old) * factors[move] % mod
-            key = fp * size + row
+            fp = (fp + (new - old)) * factors[move] % mod
+            key = fp + row
             first = seen.setdefault(key, steps)
             if first != steps:
                 self.row, self.head, self.steps, self.fp = row, head, steps, fp
@@ -695,10 +702,12 @@ class Runner:
         The hit is checked against every earlier configuration with this
         key.  On the first hit on a key, the earlier step is 0 when the key
         is the start's.  A start with no base run and no non-blank cell
-        has the run key ``(row, 0, ())``, and the key is one-to-one in
-        (fp, row), so the hit already has the start's row: it matches the
-        start exactly when no cell the run holds has a non-blank code,
-        which needs no run key.
+        has the run key ``(row, 0, ())`` and fingerprint 0, so its key is
+        its row.  When no cell the run holds has a non-blank code either,
+        the run's fingerprint is exactly 0 and its key is its row too, so
+        the hit has the start's row and matches the start, which needs no
+        run key.  A run that holds a non-blank cell may hit that key from
+        another row; the run keys decide it, as they decide any other hit.
         Any other first hit builds the key of the earlier configuration
         (the start's straight from ``start`` when the earlier step is 0,
         else by replaying a runner without loop detection from ``start`` to
@@ -845,7 +854,14 @@ def run_value(value: Optional[int]) -> int | LoopDetected:
 
 
 _HEADER_RE = re.compile(r"^(states|alphabet|start)\s*:\s*(.*)$")
+_TOKEN_RE = re.compile(r"\S+")
 _ARROW = "->"
+_MOVES = {"L": Move.LEFT, "R": Move.RIGHT}
+
+
+def _column(line: str, index: int) -> int:
+    """The column (from 1) of token ``index`` of ``line``; tokens are what ``str.split()`` gives."""
+    return [m.start() + 1 for m in _TOKEN_RE.finditer(line)][index]
 
 
 def parse_machine_text(text: str) -> Machine:
@@ -853,24 +869,27 @@ def parse_machine_text(text: str) -> Machine:
 
     Header lines ``states:``, ``alphabet:`` and ``start:`` must precede the
     transition lines ``state symbol -> state symbol L|R``.  ``#`` starts a
-    comment and the blank symbol is spelled ``_``.
+    comment and the blank symbol is spelled ``_``.  A transition line is
+    split with ``str.split``; the columns an error reports are found only
+    when one is raised.
     """
-    states: Optional[list[str]] = None
-    alphabet: Optional[list[str]] = None
+    states: Optional[set[str]] = None
+    alphabet: Optional[set[str]] = None
     start: Optional[str] = None
     transitions: dict[tuple[str, str], tuple[str, str, Move]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
+        line = raw.partition("#")[0]
+        stripped = line.strip()
+        if not stripped:
             continue
-        header = _HEADER_RE.match(line.strip())
+        header = _HEADER_RE.match(stripped)
         if header is not None:
             name, rest = header.group(1), header.group(2).split()
             if name == "states":
-                states = rest
+                states = set(rest)
             elif name == "alphabet":
-                alphabet = rest
+                alphabet = set(rest)
             else:
                 if len(rest) != 1:
                     raise MachineParseError("start takes exactly one state", lineno)
@@ -880,35 +899,33 @@ def parse_machine_text(text: str) -> Machine:
             raise MachineParseError(
                 "transition before states:/alphabet:/start: headers", lineno
             )
-        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
-        if len(tokens) != 6 or tokens[2][0] != _ARROW:
+        tokens = stripped.split()
+        if len(tokens) != 6 or tokens[2] != _ARROW:
             raise MachineParseError(
-                "expected 'state symbol -> state symbol L|R'", lineno, tokens[0][1]
+                "expected 'state symbol -> state symbol L|R'", lineno, _column(line, 0)
             )
-        (state, state_col), (symbol, symbol_col), _ = tokens[:3]
-        (nstate, nstate_col), (nsymbol, nsymbol_col), (move, move_col) = tokens[3:]
+        state, symbol, _, nstate, nsymbol, move = tokens
         if state not in states:
-            raise MachineParseError(f"unknown state {state!r}", lineno, state_col)
+            raise MachineParseError(f"unknown state {state!r}", lineno, _column(line, 0))
         if nstate not in states:
-            raise MachineParseError(f"unknown state {nstate!r}", lineno, nstate_col)
+            raise MachineParseError(f"unknown state {nstate!r}", lineno, _column(line, 3))
         if symbol not in alphabet:
-            raise MachineParseError(f"unknown symbol {symbol!r}", lineno, symbol_col)
+            raise MachineParseError(f"unknown symbol {symbol!r}", lineno, _column(line, 1))
         if nsymbol not in alphabet:
-            raise MachineParseError(f"unknown symbol {nsymbol!r}", lineno, nsymbol_col)
-        if move not in ("L", "R"):
-            raise MachineParseError("move must be L or R", lineno, move_col)
+            raise MachineParseError(f"unknown symbol {nsymbol!r}", lineno, _column(line, 4))
+        direction = _MOVES.get(move)
+        if direction is None:
+            raise MachineParseError("move must be L or R", lineno, _column(line, 5))
         key = (state, symbol)
         if key in transitions:
-            raise MachineParseError(f"duplicate transition for {key!r}", lineno, state_col)
-        transitions[key] = (nstate, nsymbol, Move(move))
+            raise MachineParseError(f"duplicate transition for {key!r}", lineno, _column(line, 0))
+        transitions[key] = (nstate, nsymbol, direction)
 
     if states is None or alphabet is None or start is None:
         raise MachineParseError("missing states:/alphabet:/start: header", 1)
-    if BLANK not in alphabet:
-        alphabet = [BLANK, *alphabet]
     if start not in states:
         raise MachineParseError(f"start state {start!r} not declared", 1)
-    return Machine(frozenset(states), frozenset(alphabet), transitions, start)
+    return Machine(frozenset(states), frozenset(alphabet | {BLANK}), transitions, start)
 
 
 def load_machine_file(path: str | Path) -> Machine:

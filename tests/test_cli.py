@@ -1167,6 +1167,16 @@ def test_csv_run_trace_memory_grows_with_the_tape_not_the_output():
     assert peak_traced(*run(2000)) < 3 * peak_traced(*run(1000))
 
 
+def test_csv_past_the_spool_size_is_the_round_trip_of_the_jsonl_records():
+    argv = ("dovetail", corpus_path("grow_right.tm") + "=zero-of", corpus_path("counter.tm") + "=zero-of",
+            "--sub-budget", "500", "--global-budget", "40000")
+    code, out, _ = invoke("--format", "csv", *argv)
+    # Past the 1 MB the spool holds in memory, so the rows come back from disk, over many batches.
+    assert len(out.encode("utf-8")) > max(1 << 20, 10 * cli._SPOOL_BATCH)
+    jsonl = invoke(*argv)
+    assert (code, out) == (jsonl[0], csv_round_trip(records_of(jsonl[1])))
+
+
 def test_universe_sim_memory_is_flat_in_the_steps():
     def peak(steps):
         return peak_traced("universe", "sim", "--config", "mixed", "--steps", str(steps))

@@ -2,7 +2,9 @@
 
 import gc
 import inspect
+import math
 import random
+import re
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -240,6 +242,75 @@ def test_parse_error_on_duplicate_transition():
 def test_parse_error_on_missing_headers():
     with pytest.raises(MachineParseError):
         parse_machine_text("q0 _ -> q0 _ R\n")
+
+
+def reference_parse(text):
+    """The machine, or the (line, column, message) of its error, with every token's column found by a regex."""
+    states = alphabet = start = None
+    transitions = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        header = re.match(r"^(states|alphabet|start)\s*:\s*(.*)$", line.strip())
+        if not line.strip() or header:
+            rest = header.group(2).split() if header else None
+            if header and header.group(1) == "start":
+                if len(rest) != 1:
+                    return lineno, 1, "start takes exactly one state"
+                start = rest[0]
+            elif header:
+                states, alphabet = (rest, alphabet) if header.group(1) == "states" else (states, rest)
+            continue
+        if states is None or alphabet is None or start is None:
+            return lineno, 1, "transition before states:/alphabet:/start: headers"
+        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        if len(tokens) != 6 or tokens[2][0] != "->":
+            return lineno, tokens[0][1], "expected 'state symbol -> state symbol L|R'"
+        for (token, column), names, what in zip(
+            (tokens[0], tokens[3], tokens[1], tokens[4]), (states, states, alphabet, alphabet), "SSYY"
+        ):
+            if token not in names:
+                return lineno, column, f"unknown {'state' if what == 'S' else 'symbol'} {token!r}"
+        if tokens[5][0] not in ("L", "R"):
+            return lineno, tokens[5][1], "move must be L or R"
+        key = (tokens[0][0], tokens[1][0])
+        if key in transitions:
+            return lineno, tokens[0][1], f"duplicate transition for {key!r}"
+        transitions[key] = (tokens[3][0], tokens[4][0], Move(tokens[5][0]))
+    if states is None or alphabet is None or start is None:
+        return 1, 1, "missing states:/alphabet:/start: header"
+    if start not in states:
+        return 1, 1, f"start state {start!r} not declared"
+    return Machine(frozenset(states), frozenset({BLANK, *alphabet}), transitions, start)
+
+
+def test_parse_matches_a_regex_tokenizer_on_random_texts():
+    rng = random.Random(211)
+    spaces = [" ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
+    words = ["a", "b", "q0", "_", "1", "x", "->", "L", "R", "l", "-", "#", "é"]
+    kinds = set()
+    for _ in range(3000):
+        lines = []
+        if rng.random() < 0.9:
+            lines += [f"states: a b{rng.choice(['', ' q0'])}", "alphabet: _ 1", f"start: {rng.choice(['a', 'q0', 'a b'])}"]
+            rng.shuffle(lines)
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.6:
+                tokens = [rng.choice("ab"), rng.choice("_1"), "->", rng.choice("ab"), rng.choice("_1"), rng.choice("LR")]
+                if rng.random() < 0.3:
+                    tokens[rng.randrange(6)] = rng.choice(words)
+            else:
+                tokens = [rng.choice(words) for _ in range(rng.randint(0, 8))]
+            line = rng.choice(["", *spaces]) + "".join(t + rng.choice(spaces) for t in tokens)
+            lines.append(line + rng.choice(["", "", "# note", "#"]))
+        text = "\n".join(lines)
+        expected = reference_parse(text)
+        try:
+            got = parse_machine_text(text)
+        except MachineParseError as exc:
+            got = (exc.line, exc.column, str(exc).split(": ", 1)[1])
+        assert got == expected, text
+        kinds.add(expected[2].split()[0] if isinstance(expected, tuple) else "machine")
+    assert len(kinds) == 8, kinds
 
 
 def test_machine_file_that_is_not_utf8_is_a_parse_error(tmp_path):
@@ -597,6 +668,79 @@ def test_start_fingerprint_matches_a_brute_force_sum(monkeypatch, modulus):
         assert fp == expected
         assert Runner(machine, ID("a", head, tape)).fp == expected
         assert Runner(machine, ID("a", head, cells)).fp == expected
+
+
+def is_prime(n):
+    """Deterministic Miller–Rabin: the first 13 primes as bases decide every n below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_fingerprint_modulus_is_a_prime_below_2_60_with_a_primitive_root_base():
+    p, r = godelsim.machine._FINGERPRINT_MODULUS, godelsim.machine._FINGERPRINT_BASE
+    # Below 2**60 a fingerprint is at most two 30-bit digits of a CPython int.
+    assert p < 1 << 60 and is_prime(p)
+    factors = [2, 3, 31, 375983, 16486124939]
+    assert math.prod(factors) == p - 1 and all(is_prime(q) for q in factors)
+    # r has order p - 1: no power (p - 1)/q of it is 1.
+    assert all(pow(r, (p - 1) // q, p) != 1 for q in factors)
+    assert is_prime((1 << 61) - 1) and not is_prime((1 << 61) + 1) and not is_prime(1 << 59)
+
+
+def test_equal_keys_from_different_states_are_decided_exactly(monkeypatch):
+    # The key fp + row is not one-to-one in (fp, row).  Under small moduli
+    # configurations in different states share keys, the key of a blank start
+    # in a state past the first row among them.
+    key_of, confirm = Runner._canonical_key, Runner._confirm
+    built = 0
+
+    def counted_key(runner, at_start=False):
+        nonlocal built
+        built += 1
+        return key_of(runner, at_start)
+
+    hits = {}  # (blank start, hit on the start's key) -> first hits on a key from another state
+
+    def checked(runner, key, first):
+        nonlocal built
+        earlier = naive_outcome(runner.machine, runner.start, first)[-1]
+        if key in runner.exact or earlier.state == runner.state:
+            return confirm(runner, key, first)
+        built = 0
+        outcome = confirm(runner, key, first)
+        # Configurations in different states differ: the run keys refuse the hit, and the
+        # blank-start shortcut, which builds none, does not take it.
+        assert outcome is None and built == 2 and key in runner.exact
+        blank = not runner.start.tape
+        hits[blank, not first] = hits.get((blank, not first), 0) + 1
+        return outcome
+
+    monkeypatch.setattr(Runner, "_canonical_key", counted_key)
+    monkeypatch.setattr(Runner, "_confirm", checked)
+    rng = random.Random(191)
+    for modulus in (5, 7, 101):
+        monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
+        for _ in range(150):
+            machine = random_machine(rng)
+            for start in (ID(rng.choice(("b", "c")), 0, {}), random_id(rng)):
+                budget = rng.randint(0, 40)
+                assert run_with_loop_detection(machine, start, budget) == brute_force_run(machine, start, budget)
+    assert len(hits) == 4 and min(hits.values()) >= 10, hits
 
 
 def decoded_rules(machine):
