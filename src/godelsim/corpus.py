@@ -4,7 +4,10 @@ The corpus is a directory of machine files plus a manifest recording what
 each run from the blank tape must do: halt at an exact step count, repeat
 a configuration at an exact step and period, or run the budget out
 without repeating.  Verification checks the loop-detecting runner against
-the manifest and confirms every verdict by plain simulation.
+the manifest, then confirms each verdict by plain simulation: a halt by a
+run of the budget, a loop by a replay to its reported step (a machine
+that repeats a configuration never halts), and a spent budget by a run
+of ``NAIVE_CONFIRM_FACTOR`` budgets that must not halt.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .machine import (
     RunOutcome,
     Runner,
     blank_id,
-    canonicalize,
     count_symbols,
     naive_run,
     parse_machine_text,
@@ -94,25 +96,22 @@ def corpus_machine(name: str) -> Machine:
     return parse_machine_text(_corpus_root().joinpath(name).read_text("utf-8"))
 
 
-def _plain_halt(machine: Machine, budget: int) -> str:
-    """Empty string when plain simulation runs ``NAIVE_CONFIRM_FACTOR`` budgets out, else the halt."""
-    confirm = naive_run(machine, blank_id(machine), budget * NAIVE_CONFIRM_FACTOR)
-    if isinstance(confirm, Halted):
-        return f"plain simulation halted after {confirm.steps} steps"
-    return ""
+def _confirm_loop(machine: Machine, verdict: LoopDetected) -> str:
+    """Empty string when a replay repeats a configuration at the reported step and period, else a reason.
 
-
-def _confirm_loop(machine: Machine, verdict: LoopDetected, budget: int) -> str:
-    """Empty string when plain simulation backs the loop verdict, else a reason."""
+    The run keys compared are equal exactly when the configurations are up
+    to translation; a halt on the reported step itself is a mismatch.
+    """
     replay = Runner(machine, blank_id(machine), detect_loops=False)
-    canon = []
+    keys = []
     for target in (verdict.first_repeat_step - verdict.period, verdict.first_repeat_step):
-        if replay._steps(target - replay.steps) is not None:
+        replay._steps(target - replay.steps)
+        if replay.steps != target:
             return "halted before the reported repeat step"
-        canon.append(canonicalize(replay.snapshot()))
-    if canon[0] != canon[1]:
+        keys.append(replay._canonical_key())
+    if keys[0] != keys[1]:
         return "configurations at the reported step and period do not match"
-    return _plain_halt(machine, budget)
+    return ""
 
 
 def _mismatch(machine: Machine, entry: CorpusEntry, outcome: RunOutcome) -> str:
@@ -140,10 +139,13 @@ def _mismatch(machine: Machine, entry: CorpusEntry, outcome: RunOutcome) -> str:
             expected.period,
         ):
             return "loop step/period differ from the manifest"
-        return _confirm_loop(machine, outcome, entry.budget)
+        return _confirm_loop(machine, outcome)
     if not isinstance(outcome, BudgetExceeded):
         return "expected the budget to run out"
-    return _plain_halt(machine, entry.budget)
+    confirm = naive_run(machine, blank_id(machine), entry.budget * NAIVE_CONFIRM_FACTOR)
+    if isinstance(confirm, Halted):
+        return f"plain simulation halted after {confirm.steps} steps"
+    return ""
 
 
 def _short(outcome: RunOutcome) -> str:

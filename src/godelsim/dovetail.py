@@ -209,7 +209,7 @@ def dovetail(
             if global_step == global_budget:
                 return GlobalBudgetExceeded(global_budget)
             global_step += 1
-            outcome = run._advance() if run.steps != sub_budget else run._stops() or _SPENT
+            outcome = run._advance() if run.steps != sub_budget else run._steps(0) or _SPENT
             if outcome is None:
                 result = "advanced"
                 survivors.append(entry)

@@ -142,11 +142,11 @@ class Tape(Mapping[int, str]):
     """An immutable tape: ``symbol`` on cells 0..n-1, overlaid by ``writes``.
 
     ``writes`` overrides the base run cell by cell; a blank in it erases a
-    base cell (and is a no-op elsewhere).  As a mapping the tape
-    holds exactly its non-blank cells, like the plain dict tape of an
-    ``ID``, so the two compare equal when their cells are equal.  Reading
-    one cell or counting a symbol costs O(1) or O(writes); iterating
-    builds the plain dict once, with C-level dict operations, and keeps it.
+    base cell (and is a no-op elsewhere).  It is the tape of every ``ID``.
+    As a mapping it holds exactly its non-blank cells, so it compares equal
+    to a plain dict with the same cells.  Reading one cell or counting a
+    symbol costs O(1) or O(writes); iterating builds the plain dict once,
+    with C-level dict operations, and keeps it.
     The tape takes ownership of ``writes``: nobody may mutate it afterwards.
     A ``Runner`` started on a tape reads its base in place for the whole
     run, so its ``Halted.final_id`` is a tape over the same base whose
@@ -210,20 +210,20 @@ class Tape(Mapping[int, str]):
 class ID:
     """An instantaneous description: state, head position, finite-support tape.
 
-    Cells absent from ``tape`` hold the blank symbol.  A plain mapping is
-    copied on construction with its explicit blanks stripped, so equal
-    configurations compare equal; a ``Tape`` is immutable and never shows
-    a blank cell, so it is kept as it is.
+    Cells absent from ``tape`` hold the blank symbol.  The tape is a
+    ``Tape``: a plain mapping is copied on construction, its explicit
+    blanks stripped, into the writes of ``Tape(0, BLANK, ...)``, so equal
+    configurations compare equal; a ``Tape`` is kept as it is.
     """
 
     state: str
     head: int
-    tape: Mapping[int, str]
+    tape: Tape
 
     def __post_init__(self) -> None:
         if type(self.tape) is not Tape:
             clean = {cell: sym for cell, sym in self.tape.items() if sym != BLANK}
-            object.__setattr__(self, "tape", clean)
+            object.__setattr__(self, "tape", Tape(0, BLANK, clean))
 
     def symbol_at(self, cell: int) -> str:
         return self.tape.get(cell, BLANK)
@@ -281,7 +281,7 @@ def step(machine: Machine, desc: ID) -> Optional[ID]:
     if rule is None:
         return None
     nstate, nsym, move = rule
-    tape = dict(desc.tape)
+    tape = dict(desc.tape.items())
     if nsym == BLANK:
         tape.pop(desc.head, None)
     else:
@@ -378,13 +378,13 @@ class Runner:
     (in a table widened for this run), so reading it raises
     ``MalformedIDError`` at the step that reads it, as it would halt there.
 
-    A run costs what it steps, not what its start tape holds.  A ``Tape``
-    start (as ``unary_id`` gives, or a ``Halted.final_id``) is read in place
-    as a read-only base run for the whole run; the run keeps exactly the
-    cells it writes in a dict of its own, where a blank written stays as a
-    blank.  Any other start mapping is copied into that dict.  A read that
-    misses the dict falls back to the base run; a run with no base pays
-    one ``is None`` test per step for this.  Set-up costs O(writes of the
+    A run costs what it steps, not what its start tape holds.  The base
+    run of the start's ``Tape`` (as ``unary_id`` gives, or a
+    ``Halted.final_id``) is read in place for the whole run; its writes are
+    copied into a dict of the run's own, which keeps every cell the run
+    writes, a blank written as a blank.  A read that misses the dict falls
+    back to the base run; a run with no base pays one ``is None`` test per
+    step for this.  Set-up costs O(writes of the
     start) and a few attribute stores: the compiled table, the start's row
     and, under loop detection, the modulus, its move factors (one cached
     tuple) and the start's key.  A step costs O(1).  An immutable ``ID`` is
@@ -438,10 +438,7 @@ class Runner:
         self.head = head = start.head
         self.steps = self.fp = 0
         tape = start.tape
-        if type(tape) is Tape:
-            n, symbol, writes = tape.n, tape.symbol, tape.writes
-        else:
-            n, symbol, writes = 0, BLANK, tape
+        n, symbol, writes = tape.n, tape.symbol, tape.writes
         try:
             codes = compiled.codes
             row, base_code = compiled.rows[start.state], codes[symbol] if n else 0
@@ -531,25 +528,26 @@ class Runner:
         return self._confirm(key, first)
 
     def _steps(self, k: int) -> Optional[object]:
-        """Take up to ``k`` steps: ``_LOOPS`` on a loop, ``_HALTS`` on a halt, or ``None`` after ``k`` steps.
+        """Take up to ``k`` steps: ``_LOOPS`` on a loop, ``_HALTS`` on a halt, else ``None``.
 
-        ``_advance`` in one loop over local variables, written back to the
-        run at an outcome, at a key hit (which ``_confirm`` decides against
-        the run as it stands) and at the end.
+        A halt on the configuration reached after ``k`` steps is reported
+        too, so ``_steps(0)`` is the halt probe.  ``_advance`` in one loop
+        over local variables, written back to the run at an outcome, at a
+        key hit (which ``_confirm`` decides against the run as it stands)
+        and at the end.
         """
         table, tape, miss, seen = self.table, self.tape, self.miss, self.seen
         base_len, base_code = self.base_len, self.base_code
         factors, mod = (self.factors, self.mod) if seen is not None else (None, None)
         row, head, steps, fp = self.row, self.head, self.steps, self.fp
         end = steps + k
-        while steps < end:
+        while True:
             old = tape.get(head, miss)
             if old is None:
                 old = base_code if 0 <= head < base_len else 0
             rule = table[row + old]
-            if rule is None:
-                self.row, self.head, self.steps, self.fp = row, head, steps, fp
-                return self._stop(old)
+            if rule is None or steps >= end:
+                break
             row, new, move = rule
             if new != old:
                 tape[head] = new
@@ -566,22 +564,18 @@ class Runner:
                 if outcome is not None:
                     return outcome
         self.row, self.head, self.steps, self.fp = row, head, steps, fp
-        return None
-
-    def _code_at(self, cell: int) -> int:
-        """The code of the symbol on ``cell`` now."""
-        code = self.tape.get(cell, self.miss)
-        if code is None:
-            code = self.base_code if 0 <= cell < self.base_len else 0
-        return code
+        return self._stop(old) if rule is None else None
 
     def symbol_at(self, cell: int) -> str:
         """The symbol on ``cell`` now (a blank cell reads ``BLANK``), without changing the run."""
-        return self.compiled.symbol_names[self._code_at(cell)]
+        code = self.tape.get(cell, self.miss)
+        if code is None:
+            code = self.base_code if 0 <= cell < self.base_len else 0
+        return self.compiled.symbol_names[code]
 
     def halted(self) -> Optional[Halted]:
         """``Halted`` if no rule applies to the current configuration, else ``None``."""
-        return None if self._stops() is None else self._halt()
+        return self._built(self._steps(0))
 
     def run(
         self, budget: int, on_step: Optional[Callable[["Runner"], None]] = None
@@ -610,12 +604,7 @@ class Runner:
         """``run(budget)`` without a step hook, with ``_HALTS`` and ``_LOOPS`` in place of its verdicts."""
         if budget < 0:
             raise GodelsimError("budget must be >= 0")
-        return self._steps(budget) or self._stops() or BudgetExceeded(budget)
-
-    def _stops(self) -> Optional[object]:
-        """``_HALTS`` if no rule applies to the current configuration (see ``_stop``), else ``None``."""
-        code = self._code_at(self.head)
-        return None if self.table[self.row + code] is not None else self._stop(code)
+        return self._steps(budget) or BudgetExceeded(budget)
 
     def _stop(self, code: int) -> object:
         """``_HALTS``, for the run reading ``code`` where no rule applies.
@@ -662,7 +651,7 @@ class Runner:
         """
         if at_start:
             start, compiled = self.start, self.compiled
-            writes = start.tape.writes if type(start.tape) is Tape else start.tape
+            writes = start.tape.writes
             row, head = compiled.rows[start.state], start.head
             codes = compiled.codes
             cells = sorted([(cell, codes[sym]) for cell, sym in writes.items()]) if writes else []
@@ -717,8 +706,7 @@ class Runner:
         """
         exact = self.exact.get(key)
         if exact is None and not first and not self.base_len and not any(self.tape.values()):
-            tape = self.start.tape
-            writes = tape.writes if type(tape) is Tape else tape
+            writes = self.start.tape.writes
             if not writes or all(sym == BLANK for sym in writes.values()):
                 self.period = self.steps
                 return _LOOPS
@@ -773,10 +761,8 @@ def naive_run(machine: Machine, start: ID, budget: int) -> Halted | BudgetExceed
 
 
 def count_symbols(desc: ID, symbol: str = "1") -> int:
-    """Number of tape cells holding ``symbol``: O(writes) on a ``Tape``."""
-    if type(desc.tape) is Tape:
-        return desc.tape.count(symbol)
-    return sum(1 for sym in desc.tape.values() if sym == symbol)
+    """Number of tape cells holding ``symbol``, in O(writes) (``Tape.count``)."""
+    return desc.tape.count(symbol)
 
 
 def run_for_ones(machine: Machine, start: ID, budget: int) -> int | LoopDetected | BudgetExceeded:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import godelsim.corpus
 from godelsim.corpus import (
     CorpusEntry,
     ExpectDiverge,
@@ -19,6 +20,7 @@ from godelsim.machine import (
     blank_id,
     canonicalize,
     count_symbols,
+    naive_run,
     run_with_loop_detection,
 )
 
@@ -114,9 +116,35 @@ def test_verifier_rejects_a_tampered_entry(name, budget, expected, observed, det
 
 def test_loop_confirmation_rejects_made_up_verdicts():
     write3 = corpus_machine("write3.tm")  # halts at step 3
-    assert _confirm_loop(write3, LoopDetected(6, 2), 100) == "halted before the reported repeat step"
-    pingpong = corpus_machine("pingpong.tm")  # repeats with period 2 only
-    assert _confirm_loop(pingpong, LoopDetected(3, 1), 100) == (
+    assert _confirm_loop(write3, LoopDetected(6, 2)) == "halted before the reported repeat step"
+    # A halt at the reported step itself: the replay reaches it, and the
+    # halting configuration differs from the one a period back.
+    assert _confirm_loop(write3, LoopDetected(3, 1)) == (
         "configurations at the reported step and period do not match"
     )
-    assert _confirm_loop(pingpong, LoopDetected(3, 2), 100) == ""
+    pingpong = corpus_machine("pingpong.tm")  # repeats with period 2 only
+    assert _confirm_loop(pingpong, LoopDetected(3, 1)) == (
+        "configurations at the reported step and period do not match"
+    )
+    assert _confirm_loop(pingpong, LoopDetected(3, 2)) == ""
+
+
+def test_each_verdict_kind_is_confirmed_by_its_own_plain_runs(monkeypatch):
+    # A halt takes one plain run of its budget, a spent budget one of ten
+    # budgets, and a loop none: its replay is proof enough.
+    budgets = []
+
+    def recording_naive_run(machine, start, budget):
+        budgets.append(budget)
+        return naive_run(machine, start, budget)
+
+    monkeypatch.setattr(godelsim.corpus, "naive_run", recording_naive_run)
+    for entry in load_manifest():
+        budgets.clear()
+        assert verify_entry(entry).passed, entry.name
+        expected = {
+            ExpectHalt: [entry.budget],
+            ExpectDiverge: [10 * entry.budget],
+            ExpectLoop: [],
+        }[type(entry.expected)]
+        assert budgets == expected, entry.name

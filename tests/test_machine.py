@@ -57,6 +57,9 @@ from godelsim.universe import MachineRule, ProviderError
 
 from helpers import canonical_tuple, naive_outcome, random_id, random_machine
 
+# The real fingerprint modulus, and 3, under which keys collide often.
+MODULI = [pytest.param(godelsim.machine._FINGERPRINT_MODULUS, id="real"), pytest.param(3, id="mod3")]
+
 
 def writer_machine(value):
     """A machine that writes ``value`` ones rightward from a blank tape, then halts."""
@@ -105,6 +108,12 @@ def test_step_rejects_foreign_state_and_symbol():
 
 def test_explicit_blanks_are_stripped():
     assert ID("q0", 0, {0: BLANK, 1: "1"}).tape == {1: "1"}
+    # A plain mapping becomes the writes of a tape with no base run.
+    desc = ID("a", 0, {2: "x", 0: BLANK, -1: "y"})
+    assert type(desc.tape) is Tape and desc.tape.n == 0
+    assert desc.tape == {2: "x", -1: "y"} and {2: "x", -1: "y"} == desc.tape
+    assert desc == ID("a", 0, Tape(0, BLANK, {2: "x", -1: "y"}))
+    assert repr(desc) == "ID(state='a', head=0, tape={-1: 'y', 2: 'x'})"
 
 
 def test_canonicalize_translates_leftmost_written_cell_to_zero():
@@ -427,10 +436,24 @@ def test_forced_fingerprint_collisions_leave_verdicts_unchanged(monkeypatch):
 def test_runner_raises_only_when_a_foreign_symbol_is_read():
     rng = random.Random(107)
     raised = finished = 0
+    probes = set()
     for machine, start, budget in random_runs(109, 100):
         tape = dict(start.tape)
         tape[rng.randint(-5, 5)] = "x"
         start = ID(start.state, start.head, tape)
+        # _steps(0) takes no step: it tells whether the start halts, and
+        # raises if it halts on the foreign symbol.
+        runner = Runner(machine, start)
+        try:
+            halts = step(machine, start) is None
+        except MalformedIDError:
+            with pytest.raises(MalformedIDError):
+                runner._steps(0)
+            probes.add("raised")
+        else:
+            assert runner._steps(0) is (godelsim.machine._HALTS if halts else None)
+            probes.add(halts)
+        assert runner.steps == 0
         try:
             expected = brute_force_run(machine, start, budget)
         except MalformedIDError:
@@ -442,6 +465,7 @@ def test_runner_raises_only_when_a_foreign_symbol_is_read():
         finished += 1
         assert run_with_loop_detection(machine, start, budget) == expected
     assert raised and finished
+    assert probes == {True, False, "raised"}
 
 
 def test_a_start_state_the_machine_lacks_raises_at_the_first_step():
@@ -493,7 +517,7 @@ def settle(runner, run, budget):
     return outcome, runner.steps, after, dict(after.tape.writes), runner.state
 
 
-@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+@pytest.mark.parametrize("modulus", MODULI)
 def test_batched_run_matches_a_loop_of_single_steps(monkeypatch, modulus):
     monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
     kinds, resumed = set(), 0
@@ -645,7 +669,7 @@ def test_a_run_keeps_only_the_cells_it_writes():
     assert count_symbols(outcome.final_id) == 25
 
 
-@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+@pytest.mark.parametrize("modulus", MODULI)
 def test_start_fingerprint_matches_a_brute_force_sum(monkeypatch, modulus):
     # At modulus 3 the base r is 1, so the base run sums to codes[symbol] * n.
     monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
@@ -1013,7 +1037,7 @@ def lean_cases(seed, count):
     return cases
 
 
-@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+@pytest.mark.parametrize("modulus", MODULI)
 def test_lean_verdicts_match_plain_stepping(monkeypatch, modulus):
     monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
     kinds = set()
@@ -1167,7 +1191,7 @@ def naive_checked(outcome, machine, start, budget):
         assert naive_outcome(machine, start, budget)[0] == "running"
 
 
-@pytest.mark.parametrize("modulus", [godelsim.machine._FINGERPRINT_MODULUS, 3])
+@pytest.mark.parametrize("modulus", MODULI)
 def test_step_zero_decisions_match_run_keys(monkeypatch, modulus):
     monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", modulus)
     key_of, confirm = Runner._canonical_key, Runner._confirm
