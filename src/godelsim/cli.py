@@ -440,7 +440,7 @@ def cmd_run(args: argparse.Namespace, emit: _Emitter) -> _Result:
         raise CliError(f"cannot read {args.machine}: {exc}") from exc
     start = _parse_input_spec(args.input, machine)
     try:
-        runner = Runner(machine, start)
+        runner = Runner(machine, start, limit=args.budget)
         outcome = runner.run(args.budget, _TraceView(runner, emit) if args.trace else None)
     except MalformedIDError as exc:
         raise CliError(f"{args.input}: {exc}") from exc

@@ -181,6 +181,8 @@ def dovetail(
     live: list[_LiveRun] = []
     global_step = 0
     ranks = enumerate(diagonal_pairs(len(tasks)))
+    # No run takes more steps than this, which picks its key width (``Runner``).
+    limit = min(sub_budget, global_budget)
     while True:
         if exhausted == len(states) and not live:
             return AllExhausted(tuple(state.status() for state in states))
@@ -204,7 +206,7 @@ def dovetail(
                     exhausted += 1
                     break
                 state.trials_spawned += 1
-                run = Runner(sub.machine, sub.input)
+                run = Runner(sub.machine, sub.input, True, limit)
                 entry = rank, trial, state, run
             if global_step == global_budget:
                 return GlobalBudgetExceeded(global_budget)

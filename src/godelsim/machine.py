@@ -212,8 +212,10 @@ class ID:
 
     Cells absent from ``tape`` hold the blank symbol.  The tape is a
     ``Tape``: a plain mapping is copied on construction, its explicit
-    blanks stripped, into the writes of ``Tape(0, BLANK, ...)``, so equal
-    configurations compare equal; a ``Tape`` is kept as it is.
+    blanks stripped, into the writes of ``Tape(0, BLANK, ...)``, which
+    serve as its cells too, so equal configurations compare equal and
+    reading the tape whole copies nothing more; a ``Tape`` is kept as it
+    is.
     """
 
     state: str
@@ -223,7 +225,10 @@ class ID:
     def __post_init__(self) -> None:
         if type(self.tape) is not Tape:
             clean = {cell: sym for cell, sym in self.tape.items() if sym != BLANK}
-            object.__setattr__(self, "tape", Tape(0, BLANK, clean))
+            tape = Tape(0, BLANK, clean)
+            # With no base run and no blank write, the writes are the cells.
+            tape._cells = clean
+            object.__setattr__(self, "tape", tape)
 
     def symbol_at(self, cell: int) -> str:
         return self.tape.get(cell, BLANK)
@@ -311,6 +316,15 @@ def encode_id(desc: ID) -> bytes:
 # nonzero values, where under 2**61 - 1 they took only (p - 1)/6.
 _FINGERPRINT_MODULUS = (1 << 60) - 93
 _FINGERPRINT_BASE = 1_000_003
+# A run bounded by at most _SHORT_RUN_STEPS steps keys by the prime
+# 2**29 - 3 instead (the base is a primitive root of it too), so fp, each
+# step's fp + (new - old) and each key fp + row are one 30-bit digit, which
+# CPython adds, multiplies and reduces on fast paths.  Among n steps the
+# expected false key hits are at most n**2 / 2p, each costing a replay: at
+# most 1/64 for n = 2**12, but 454 hits and 28x the time on counter.tm at
+# 10**6 steps, so a longer or unbounded run keeps the wide modulus.
+_SHORT_RUN_STEPS = 1 << 12
+_SHORT_RUN_MODULUS = (1 << 29) - 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,11 +423,14 @@ class Runner:
     exact check below tells them apart as it does any other collision.  So
     a key costs one add, and a step updates fp as
     ``(fp + (new - old)) * factor % p``, where the write's change is a small
-    int; with p below 2**60, fp is at most two 30-bit digits.  The start's
-    fingerprint sums the base run in closed form.  Being relative to the
-    head, the fingerprint follows a write or a one-cell move in O(1), and
-    translates share a key, as they share a form under ``canonicalize``.  r and p are read when the runner
-    is built.  A key hit is only a candidate, decided exactly by
+    int.  p is read when the runner is built: 2**60 - 93, so fp is at most
+    two 30-bit digits, or, when the caller bounds the run by ``limit`` <=
+    2**12 steps, 2**29 - 3, so fp and the key are one digit (``limit``
+    picks the modulus and nothing else; see ``_SHORT_RUN_MODULUS``).  The
+    start's fingerprint sums the base run in closed form.  Being relative
+    to the head, the fingerprint follows a write or a one-cell move in
+    O(1), and translates share a key, as they share a form under
+    ``canonicalize``.  A key hit is only a candidate, decided exactly by
     ``_confirm``: it compares run keys (``_canonical_key``), which are
     equal exactly when the ``canonicalize`` forms are, so a collision costs
     time but never changes a verdict.  The earlier configuration's key
@@ -432,7 +449,9 @@ class Runner:
         "steps", "seen", "exact", "fp", "mod", "factors", "period",
     )
 
-    def __init__(self, machine: Machine, start: ID, detect_loops: bool = True):
+    def __init__(
+        self, machine: Machine, start: ID, detect_loops: bool = True, limit: Optional[int] = None
+    ):
         self.machine = self.compiled = compiled = machine
         self.start = start
         self.head = head = start.head
@@ -457,7 +476,11 @@ class Runner:
         if not detect_loops:
             self.seen = None
             return
-        self.mod = mod = _FINGERPRINT_MODULUS
+        # min(_FINGERPRINT_MODULUS, _SHORT_RUN_MODULUS): the short key never widens the modulus.
+        mod = _FINGERPRINT_MODULUS
+        if limit is not None and limit <= _SHORT_RUN_STEPS and mod > _SHORT_RUN_MODULUS:
+            mod = _SHORT_RUN_MODULUS
+        self.mod = mod
         self.factors = _fingerprint_factors(mod)[2]
         if n or writes:
             self.fp = _start_fingerprint(n, symbol, writes, head, codes, mod)
@@ -752,7 +775,7 @@ def run_with_loop_detection(
     on_step = None
     if on_visit is not None:
         on_step = lambda run: on_visit(run.steps, canonicalize(run.snapshot()))
-    return Runner(machine, start).run(budget, on_step)
+    return Runner(machine, start, limit=budget).run(budget, on_step)
 
 
 def naive_run(machine: Machine, start: ID, budget: int) -> Halted | BudgetExceeded:
@@ -771,7 +794,7 @@ def run_for_ones(machine: Machine, start: ID, budget: int) -> int | LoopDetected
     The ones are read off the runner (``Runner.count``), so a halt builds
     no ``Halted`` and no final ``ID``.
     """
-    runner = Runner(machine, start)
+    runner = Runner(machine, start, limit=budget)
     outcome = runner._verdict(budget)
     return runner.count() if outcome is _HALTS else runner._built(outcome)
 
@@ -826,7 +849,7 @@ def run_value(value: Optional[int]) -> int | LoopDetected:
     """
     machine, start = value_start(value)
     if value is None:
-        runner = Runner(machine, start)
+        runner = Runner(machine, start, True, 2)
         runner._advance()
         return runner._built(runner._advance())
     # No reader configuration can repeat, even up to translation: the head

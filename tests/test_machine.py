@@ -2,19 +2,22 @@
 
 import gc
 import inspect
+import io
 import math
 import random
 import re
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import FrozenInstanceError, replace
+from importlib import resources
 
 import pytest
 
 import godelsim.machine
-from godelsim import GodelsimError
+from godelsim import GodelsimError, cli
 from godelsim.collapse import evaluate, make_horizon_machine
-from godelsim.corpus import corpus_machine, verify_corpus
+from godelsim.corpus import corpus_machine, load_manifest, verify_corpus
 from godelsim.machine import (
     BLANK,
     BudgetExceeded,
@@ -57,8 +60,12 @@ from godelsim.universe import MachineRule, ProviderError
 
 from helpers import canonical_tuple, naive_outcome, random_id, random_machine
 
-# The real fingerprint modulus, and 3, under which keys collide often.
-MODULI = [pytest.param(godelsim.machine._FINGERPRINT_MODULUS, id="real"), pytest.param(3, id="mod3")]
+# The real fingerprint modulus, 3, under which keys collide often, and the short runs' modulus.
+MODULI = [
+    pytest.param(godelsim.machine._FINGERPRINT_MODULUS, id="real"),
+    pytest.param(3, id="mod3"),
+    pytest.param(godelsim.machine._SHORT_RUN_MODULUS, id="short"),
+]
 
 
 def writer_machine(value):
@@ -114,6 +121,24 @@ def test_explicit_blanks_are_stripped():
     assert desc.tape == {2: "x", -1: "y"} and {2: "x", -1: "y"} == desc.tape
     assert desc == ID("a", 0, Tape(0, BLANK, {2: "x", -1: "y"}))
     assert repr(desc) == "ID(state='a', head=0, tape={-1: 'y', 2: 'x'})"
+
+
+def test_an_id_from_a_mapping_reads_whole_without_copying_its_cells(monkeypatch):
+    calls = 0
+    plain_cells = godelsim.machine._plain_cells
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return plain_cells(*args)
+
+    monkeypatch.setattr(godelsim.machine, "_plain_cells", counted)
+    tape = ID("a", 0, {2: "x", 0: BLANK, -1: "y"}).tape
+    assert len(tape) == 2 and tape == {2: "x", -1: "y"} and sorted(tape.items()) == [(-1, "y"), (2, "x")]
+    assert calls == 0
+    # A tape over a base run builds its cells once.
+    tape = value_start(3)[1].tape
+    assert len(tape) == 3 and tape == {0: "1", 1: "1", 2: "1"} and calls == 1
 
 
 def test_canonicalize_translates_leftmost_written_cell_to_zero():
@@ -724,6 +749,58 @@ def test_fingerprint_modulus_is_a_prime_below_2_60_with_a_primitive_root_base():
     # r has order p - 1: no power (p - 1)/q of it is 1.
     assert all(pow(r, (p - 1) // q, p) != 1 for q in factors)
     assert is_prime((1 << 61) - 1) and not is_prime((1 << 61) + 1) and not is_prime(1 << 59)
+
+
+def test_short_run_modulus_is_a_prime_below_2_29_with_a_primitive_root_base():
+    p, r = godelsim.machine._SHORT_RUN_MODULUS, godelsim.machine._FINGERPRINT_BASE
+    assert p < 1 << 29 and is_prime(p)
+    factors = [2, 2, 7, 73, 262657]
+    assert math.prod(factors) == p - 1 and all(is_prime(q) for q in factors)
+    # r has order p - 1: no power (p - 1)/q of it is 1.
+    assert all(pow(r, (p - 1) // q, p) != 1 for q in factors)
+    # fp < p, so a key fp + row stays one 30-bit digit on every corpus machine.
+    rows = [max(corpus_machine(entry.name).rows.values()) for entry in load_manifest()]
+    assert p + max(rows) < 1 << 30
+
+
+def test_each_run_takes_the_key_its_bound_allows(monkeypatch):
+    mods = []
+    init = Runner.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.seen is not None:
+            mods.append(self.mod)
+
+    def mods_of(call):
+        mods.clear()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            call()
+        return set(mods)
+
+    monkeypatch.setattr(Runner, "__init__", recording_init)
+    counter, looper = corpus_machine("counter.tm"), two_state_looper()
+    pingpong = str(resources.files("godelsim").joinpath("data/corpus/pingpong.tm"))
+    tasks = [SearchTask(0, lambda y: SubRun(looper, blank_id(looper)) if y < 3 else None, lambda h: True)]
+    short_runs = [
+        lambda: run_with_loop_detection(counter, blank_id(counter), 4096),
+        lambda: run_for_ones(counter, blank_id(counter), 100),
+        lambda: cli.main(["run", pingpong, "--budget", "300"]),
+        lambda: run_value(None),
+        lambda: dovetail(tasks, 64, 10_000),
+    ]
+    long_runs = [
+        lambda: run_with_loop_detection(counter, blank_id(counter), 4097),
+        lambda: cli.main(["run", pingpong]),
+        lambda: dovetail(tasks, 10**6, 10**6),
+        lambda: Runner(counter, blank_id(counter)),
+    ]
+    short, wide = godelsim.machine._SHORT_RUN_MODULUS, godelsim.machine._FINGERPRINT_MODULUS
+    assert [mods_of(run) for run in short_runs] == [{short}] * 5
+    assert [mods_of(run) for run in long_runs] == [{wide}] * 4
+    # A smaller modulus stands whatever the bound.
+    monkeypatch.setattr(godelsim.machine, "_FINGERPRINT_MODULUS", 3)
+    assert [mods_of(run) for run in short_runs + long_runs] == [{3}] * 9
 
 
 def test_equal_keys_from_different_states_are_decided_exactly(monkeypatch):
