@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import GodelsimError
 
@@ -29,16 +29,22 @@ class TagCollisionError(GodelsimError):
     """Two tagged sequences share an interaction tag and cannot be merged."""
 
 
-@dataclass(frozen=True)
-class BetaPair:
+class _BetaFields(NamedTuple):
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        if self.b < 0:
+
+class BetaPair(_BetaFields):
+    """A pair with b >= 0 and c >= 1; the sieve builds its pairs, valid by construction, unchecked."""
+
+    __slots__ = ()
+
+    def __new__(cls, b: int, c: int) -> BetaPair:
+        if b < 0:
             raise GodelsimError("b must be >= 0")
-        if self.c < 1:
+        if c < 1:
             raise GodelsimError("c must be >= 1")
+        return tuple.__new__(cls, (b, c))
 
 
 @dataclass(frozen=True)
@@ -212,8 +218,9 @@ def enumerate_matches(seq: Sequence[int], bound: int) -> list[BetaPair]:
     which has a pair matching those two values), and one ``BetaPair`` per
     match.
     """
+    new = tuple.__new__
     return [
-        BetaPair(b, c)
+        new(BetaPair, (b, c))
         for c, least, step in _realizations(seq, bound)
         for b in range(least, bound + 1, step)
     ]

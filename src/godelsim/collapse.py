@@ -12,9 +12,8 @@ the machine by one with the least horizon that covers it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from . import GodelsimError
 from .machine import LoopDetected, run_value
@@ -60,22 +59,26 @@ def resolve_predicate(spec: str) -> Predicate:
     raise GodelsimError(f"unknown predicate spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class HorizonMachine:
-    """A predicate evaluator that only terminates below its current horizon."""
-
+class _HorizonFields(NamedTuple):
     predicate: Predicate
     spec: str
     horizon: int
     history: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.horizon < 1:
+
+class HorizonMachine(_HorizonFields):
+    """A predicate evaluator that only terminates below its current horizon."""
+
+    __slots__ = ()
+
+    def __new__(cls, predicate: Predicate, spec: str, horizon: int, history: tuple[int, ...]) -> HorizonMachine:
+        if horizon < 1:
             raise GodelsimError("horizon must be >= 1")
-        if not self.history or self.history[-1] != self.horizon:
+        if not history or history[-1] != horizon:
             raise GodelsimError("history must end at the current horizon")
-        if any(a >= b for a, b in zip(self.history, self.history[1:])):
+        if any(a >= b for a, b in zip(history, history[1:])):
             raise GodelsimError("history must be strictly increasing")
+        return tuple.__new__(cls, (predicate, spec, horizon, history))
 
 
 def make_horizon_machine(pred: Union[str, Predicate], k: int) -> HorizonMachine:
@@ -105,4 +108,4 @@ def measure(hm: HorizonMachine, n: int) -> HorizonMachine:
         raise GodelsimError("n must be >= 0")
     if n < hm.horizon:
         return hm
-    return replace(hm, horizon=n + 1, history=hm.history + (n + 1,))
+    return hm._replace(horizon=n + 1, history=hm.history + (n + 1,))

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Union
+from typing import NamedTuple, Union
 
 from .machine import (
     BudgetExceeded,
@@ -35,35 +34,30 @@ from .machine import (
 NAIVE_CONFIRM_FACTOR = 10
 
 
-@dataclass(frozen=True)
-class ExpectHalt:
+class ExpectHalt(NamedTuple):
     steps: int
     ones: int
 
 
-@dataclass(frozen=True)
-class ExpectLoop:
+class ExpectLoop(NamedTuple):
     first_repeat_step: int
     period: int
 
 
-@dataclass(frozen=True)
-class ExpectDiverge:
+class ExpectDiverge(NamedTuple):
     pass
 
 
 Expected = Union[ExpectHalt, ExpectLoop, ExpectDiverge]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     budget: int
     expected: Expected
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     name: str
     expected: str
     observed: str

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import GodelsimError, collapse
 from .beta import BetaPair, fit_characteristic_beta
@@ -97,16 +97,14 @@ class Registry:
 # --- value rules -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantRule:
+class ConstantRule(NamedTuple):
     value: int
 
     def value_at(self, t: int) -> int:
         return self.value
 
 
-@dataclass(frozen=True)
-class CounterRule:
+class CounterRule(NamedTuple):
     start: int = 0
     step: int = 1
 
@@ -114,8 +112,7 @@ class CounterRule:
         return self.start + self.step * t
 
 
-@dataclass(frozen=True)
-class AffineRule:
+class AffineRule(NamedTuple):
     """m(t+1) = (a * m(t) + b) mod modulus, iterated from ``start``."""
 
     a: int
@@ -125,19 +122,18 @@ class AffineRule:
 
     def value_at(self, t: int) -> int:
         """m(t) in O(log t): the map x -> a*x + b is composed with itself by squaring."""
-        value = self.start % self.modulus
         # (scale, shift) is the map applied 2^k times, for k = 0, 1, 2, ...
-        scale, shift = self.a, self.b
+        scale, shift, modulus, value = self
+        value %= modulus
         while t > 0:
             if t & 1:
-                value = (scale * value + shift) % self.modulus
-            scale, shift = scale * scale % self.modulus, (scale * shift + shift) % self.modulus
+                value = (scale * value + shift) % modulus
+            scale, shift = scale * scale % modulus, (scale * shift + shift) % modulus
             t >>= 1
         return value
 
 
-@dataclass(frozen=True)
-class TableRule:
+class TableRule(NamedTuple):
     """Cyclic lookup table, so the rule stays total on all interaction indices."""
 
     values: tuple[int, ...]
@@ -148,8 +144,7 @@ class TableRule:
         return self.values[t % len(self.values)]
 
 
-@dataclass(frozen=True)
-class MachineRule:
+class MachineRule(NamedTuple):
     """Value at t = unary output of a machine run on t ones under loop detection."""
 
     machine: Machine
@@ -169,13 +164,11 @@ class MachineRule:
 Rule = Union[ConstantRule, CounterRule, AffineRule, TableRule, MachineRule]
 
 
-@dataclass(frozen=True)
-class UniformProvider:
+class UniformProvider(NamedTuple):
     rule: Rule
 
 
-@dataclass(frozen=True)
-class HorizonProvider:
+class HorizonProvider(NamedTuple):
     machine: HorizonMachine
 
 
@@ -210,8 +203,7 @@ def provider_value(provider: Provider, t: int) -> Optional[int]:
 # --- particles and universes ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """One particle's property -> value assignment at one interaction.
 
     ``values`` covers the properties the particle provides; an entry of
@@ -223,8 +215,7 @@ class Signature:
     values: Mapping[int, Optional[int]]
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(NamedTuple):
     id: int
     providers: Mapping[int, Provider]
 
@@ -234,8 +225,7 @@ def particle_signature(particle: Particle, t: int) -> Signature:
     return Signature(particle.id, t, values)
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(NamedTuple):
     registry: Registry
     particles: tuple[Particle, ...]
     clock: int = 0
@@ -273,7 +263,7 @@ def signature_at(u: Universe, i: int, t: int) -> Signature:
 
 def step_universe(u: Universe) -> Universe:
     """Advance every particle's interaction counter and materialize the new row."""
-    advanced = replace(u, clock=u.clock + 1)
+    advanced = u._replace(clock=u.clock + 1)
     for particle in advanced.particles:
         particle_signature(particle, advanced.clock)
     return advanced
@@ -304,7 +294,7 @@ def measure(u: Universe, i: int, k: int, t: int) -> Universe:
     particles = tuple(
         Particle(p.id, providers) if p.id == i else p for p in u.particles
     )
-    return replace(u, particles=particles)
+    return u._replace(particles=particles)
 
 
 # --- predictability --------------------------------------------------------
@@ -358,8 +348,7 @@ def classify_predictability(values: Sequence[int], window: int) -> Predictabilit
 # --- condition checks -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitEntry:
+class FitEntry(NamedTuple):
     particle: int
     prop: int
     prop_name: str
@@ -369,8 +358,7 @@ class FitEntry:
     found: bool
 
 
-@dataclass(frozen=True)
-class PredestinationReport:
+class PredestinationReport(NamedTuple):
     horizon: int
     bound: int
     all_uniform: bool
@@ -415,16 +403,14 @@ class UniverseClass(enum.Enum):
     QUANTUM = "quantum"
 
 
-@dataclass(frozen=True)
-class ParticleReport:
+class ParticleReport(NamedTuple):
     particle: int
     initial_materialized: bool
     has_horizon: bool
     fundamental: bool
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     classification: UniverseClass
     particles: tuple[ParticleReport, ...]
 
@@ -466,8 +452,7 @@ def check_predictability_obstruction(u: Universe) -> ObstructionReport:
 # --- configuration files ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimSetup:
+class SimSetup(NamedTuple):
     universe: Universe
     steps: int
     window: int

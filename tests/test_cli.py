@@ -341,12 +341,13 @@ def test_dovetail_nonpositive_budget_is_a_clean_error(flag, value):
         (("beta", "matches", "0", "--bound", "0"), "bound"),
         (("beta", "predict", "0,1", "--bound", "-2"), "bound"),
         (("beta", "eval", "7,1", "-1"), "index"),
+        (("beta", "eval", "1,0", "0"), "c must be >= 1"),
         (("collapse", "demo", "--k", "2", "--measure", "-1"), "measure"),
         (("universe", "sim", "--config", "uniform_pair", "--window", "0"), "window"),
         (("universe", "sim", "--config", "uniform_pair", "--steps", "-1"), "steps"),
     ],
     ids=[
-        "matches-bound", "predict-bound", "eval-index", "collapse-measure",
+        "matches-bound", "predict-bound", "eval-index", "eval-pair", "collapse-measure",
         "universe-window", "universe-steps",
     ],
 )
