@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import GodelsimError
+from . import GodelsimError, _Frozen
 
 
 # Predicted values wait in a list of about this many before they are tallied.
@@ -47,15 +47,16 @@ class BetaPair(_BetaFields):
         return tuple.__new__(cls, (b, c))
 
 
-@dataclass(frozen=True)
-class TaggedSequence:
+class TaggedSequence(_Frozen):
     """Property values tagged with strictly increasing interaction indices."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        tags = [tag for tag, _ in self.entries]
-        if any(tag < 0 for tag in tags) or any(value < 0 for _, value in self.entries):
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        tags = [tag for tag, _ in entries]
+        if any(tag < 0 for tag in tags) or any(value < 0 for _, value in entries):
             raise GodelsimError("tags and values must be naturals")
         if any(a >= b for a, b in zip(tags, tags[1:])):
             raise GodelsimError("tags must be strictly increasing")

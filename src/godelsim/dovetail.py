@@ -12,10 +12,9 @@ distinguished vacuous result instead of a sentinel value.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from . import GodelsimError
+from . import GodelsimError, _Frozen
 from .machine import (
     _HALTS,
     _LOOPS,
@@ -63,21 +62,32 @@ class TaskStatus(NamedTuple):
     exhausted: bool
 
 
-@dataclass(frozen=True)
-class FirstSuccess:
+class FirstSuccess(_Frozen):
+    __slots__ = ("task_id", "trial", "evidence")
     task_id: int
     trial: int
     evidence: Halted
 
+    def __init__(self, task_id: int, trial: int, evidence: Halted) -> None:
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "trial", trial)
+        object.__setattr__(self, "evidence", evidence)
 
-@dataclass(frozen=True)
-class AllExhausted:
+
+class AllExhausted(_Frozen):
+    __slots__ = ("statuses",)
     statuses: tuple[TaskStatus, ...]
 
+    def __init__(self, statuses: tuple[TaskStatus, ...]) -> None:
+        object.__setattr__(self, "statuses", statuses)
 
-@dataclass(frozen=True)
-class GlobalBudgetExceeded:
+
+class GlobalBudgetExceeded(_Frozen):
+    __slots__ = ("global_budget",)
     global_budget: int
+
+    def __init__(self, global_budget: int) -> None:
+        object.__setattr__(self, "global_budget", global_budget)
 
 
 DovetailOutcome = FirstSuccess | AllExhausted | GlobalBudgetExceeded
@@ -238,14 +248,20 @@ class VacuousReason(enum.Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
-class Defined:
+class Defined(_Frozen):
+    __slots__ = ("y",)
     y: int
 
+    def __init__(self, y: int) -> None:
+        object.__setattr__(self, "y", y)
 
-@dataclass(frozen=True)
-class Vacuous:
+
+class Vacuous(_Frozen):
+    __slots__ = ("reason",)
     reason: VacuousReason
+
+    def __init__(self, reason: VacuousReason) -> None:
+        object.__setattr__(self, "reason", reason)
 
 
 TotalMuResult = Defined | Vacuous

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
-from . import GodelsimError
+from . import GodelsimError, _Frozen
 
 BLANK = "_"
 
@@ -251,25 +251,34 @@ def unary_id(machine: Machine, n: int, symbol: str = "1") -> ID:
     return ID(machine.start_state, 0, Tape(n, symbol, {}))
 
 
-@dataclass(frozen=True)
-class Halted:
+class Halted(_Frozen):
+    __slots__ = ("steps", "final_id")
     steps: int
     final_id: ID
 
+    def __init__(self, steps: int, final_id: ID) -> None:
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "final_id", final_id)
 
-@dataclass(frozen=True)
-class LoopDetected:
+
+class LoopDetected(_Frozen):
+    __slots__ = ("first_repeat_step", "period")
     first_repeat_step: int
     period: int
 
-    def __post_init__(self) -> None:
-        if self.period < 1 or self.first_repeat_step < self.period:
+    def __init__(self, first_repeat_step: int, period: int) -> None:
+        object.__setattr__(self, "first_repeat_step", first_repeat_step)
+        object.__setattr__(self, "period", period)
+        if period < 1 or first_repeat_step < period:
             raise GodelsimError("need period >= 1 and first_repeat_step >= period")
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
+class BudgetExceeded(_Frozen):
+    __slots__ = ("budget",)
     budget: int
+
+    def __init__(self, budget: int) -> None:
+        object.__setattr__(self, "budget", budget)
 
 
 RunOutcome = Halted | LoopDetected | BudgetExceeded
@@ -374,7 +383,7 @@ def _widened(machine: Machine, state: str, symbols: Iterable[str]) -> Machine:
 # for a run that stops on a configuration no rule applies to, and for one
 # whose step repeats an earlier configuration (its period kept on the
 # runner).  The ``Halted`` the first stands for costs a decoded snapshot,
-# and the ``LoopDetected`` of the second a frozen dataclass, so only
+# and the ``LoopDetected`` of the second a checked record, so only
 # callers that read them build them (``Runner._built``).
 _HALTS = object()
 _LOOPS = object()

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from . import GodelsimError, collapse
+from . import GodelsimError, _Frozen, collapse
 from .beta import BetaPair, fit_characteristic_beta
 from .collapse import HorizonMachine
 from .machine import (
@@ -300,20 +299,30 @@ def measure(u: Universe, i: int, k: int, t: int) -> Universe:
 # --- predictability --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Predictable:
+class Predictable(_Frozen):
+    __slots__ = ("stable_value", "stabilized_at")
     stable_value: int
     stabilized_at: int
 
+    def __init__(self, stable_value: int, stabilized_at: int) -> None:
+        object.__setattr__(self, "stable_value", stable_value)
+        object.__setattr__(self, "stabilized_at", stabilized_at)
 
-@dataclass(frozen=True)
-class Random:
+
+class Random(_Frozen):
+    __slots__ = ("witness",)
     witness: tuple[int, int]
 
+    def __init__(self, witness: tuple[int, int]) -> None:
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class Undetermined:
+
+class Undetermined(_Frozen):
+    __slots__ = ("window",)
     window: int
+
+    def __init__(self, window: int) -> None:
+        object.__setattr__(self, "window", window)
 
 
 PredictabilityVerdict = Union[Predictable, Random, Undetermined]

@@ -1,22 +1,31 @@
-"""The package's records: field-only ones are named tuples, verdicts stay frozen dataclasses."""
+"""The package's records: field-only ones are named tuples, verdicts share one slotted base.
 
+Three classes stay frozen dataclasses; every other record is one of the two.
+"""
+
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
-from godelsim import GodelsimError, beta, cli, collapse, corpus, dovetail, machine, universe
-from godelsim.beta import BetaPair
+from godelsim import GodelsimError, _Frozen, beta, cli, collapse, corpus, dovetail, machine, universe
+from godelsim.beta import BetaPair, TaggedSequence
 from godelsim.collapse import HorizonMachine
 from godelsim.corpus import CorpusEntry, ExpectDiverge, ExpectHalt, ExpectLoop, VerifyResult
 from godelsim.dovetail import (
+    AllExhausted,
     Defined,
+    FirstSuccess,
     GlobalBudgetExceeded,
     MachineBackedFunction,
     SearchTask,
     SubRun,
     TaskStatus,
+    Vacuous,
+    VacuousReason,
 )
-from godelsim.machine import BudgetExceeded
+from godelsim.machine import BudgetExceeded, Halted, LoopDetected
 from godelsim.universe import (
     AffineRule,
     ConstantRule,
@@ -28,6 +37,8 @@ from godelsim.universe import (
     Particle,
     ParticleReport,
     PredestinationReport,
+    Predictable,
+    Random,
     Registry,
     Signature,
     SimSetup,
@@ -94,27 +105,37 @@ RECORDS = [
 
 MODULES = (beta, cli, collapse, corpus, dovetail, machine, universe)
 
-# The records kept as frozen dataclasses: ``Machine`` has computed fields, tests
-# ``dataclasses.replace`` an ``ID`` and the bench a ``NextValueDistribution``,
-# ``TaggedSequence`` has its own length, and the rest are verdicts, which must
-# not compare equal across types as tuples would.
-KEPT_DATACLASSES = {
-    "machine.Machine",
-    "machine.ID",
-    "machine.Halted",
-    "machine.LoopDetected",
-    "machine.BudgetExceeded",
-    "dovetail.FirstSuccess",
-    "dovetail.AllExhausted",
-    "dovetail.GlobalBudgetExceeded",
-    "dovetail.Defined",
-    "dovetail.Vacuous",
-    "universe.Predictable",
-    "universe.Random",
-    "universe.Undetermined",
-    "beta.NextValueDistribution",
-    "beta.TaggedSequence",
-}
+# The records kept as frozen dataclasses: ``Machine`` has computed fields, and
+# tests ``dataclasses.replace`` an ``ID`` and the bench a ``NextValueDistribution``.
+# The verdicts and ``TaggedSequence`` are ``_Frozen`` records (see VERDICTS).
+KEPT_DATACLASSES = {"machine.Machine", "machine.ID", "beta.NextValueDistribution"}
+
+# The ``_Frozen`` records, each with its repr, which is that of the frozen
+# dataclass each once was.  A str stands in for a configuration, as above.
+HALTED = Halted(6, "final")
+STATUS = TaskStatus(1, 3, 0, 3, 0, True)
+STATUS_TEXT = (
+    "TaskStatus(task_id=1, trials_spawned=3, halted_rejected=0, loops_detected=3, sub_budget_exhausted=0, "
+    "exhausted=True)"
+)
+VERDICTS = [
+    (HALTED, "Halted(steps=6, final_id='final')"),
+    (LoopDetected(4, 2), "LoopDetected(first_repeat_step=4, period=2)"),
+    (BudgetExceeded(5), "BudgetExceeded(budget=5)"),
+    (FirstSuccess(1, 3, HALTED), "FirstSuccess(task_id=1, trial=3, evidence=Halted(steps=6, final_id='final'))"),
+    (AllExhausted((STATUS,)), f"AllExhausted(statuses=({STATUS_TEXT},))"),
+    (GlobalBudgetExceeded(5), "GlobalBudgetExceeded(global_budget=5)"),
+    (Defined(5), "Defined(y=5)"),
+    (Vacuous(VacuousReason.BUDGET_EXCEEDED), "Vacuous(reason=<VacuousReason.BUDGET_EXCEEDED: 'budget-exceeded'>)"),
+    (Predictable(7, 2), "Predictable(stable_value=7, stabilized_at=2)"),
+    (Random((3, 4)), "Random(witness=(3, 4))"),
+    (Undetermined(5), "Undetermined(window=5)"),
+    (TaggedSequence(((0, 3), (2, 1))), "TaggedSequence(entries=((0, 3), (2, 1)))"),
+]
+
+
+# ``copy.replace`` (Python 3.13 on) calls a record's ``__replace__``, as this does before it.
+replace = getattr(copy, "replace", lambda record, **changes: type(record).__replace__(record, **changes))
 
 
 def holds_a_dict(value):
@@ -168,6 +189,57 @@ def test_kept_verdicts_stay_distinct_across_types():
     assert Defined(5) != Undetermined(5)
 
 
+def test_the_verdicts_list_every_frozen_record_of_the_package():
+    assert {type(record) for record, _ in VERDICTS} == set(_Frozen.__subclasses__())
+
+
+def matched_fields(record):
+    """The fields a ``match`` statement binds, by position, from ``record``."""
+    kind = type(record)
+    match len(kind.__match_args__), record:
+        case 1, kind(a):
+            return (a,)
+        case 2, kind(a, b):
+            return (a, b)
+        case 3, kind(a, b, c):
+            return (a, b, c)
+
+
+def twin_of(kind, fields):
+    """A ``kind`` holding ``fields``, built without its checks."""
+    twin = object.__new__(kind)
+    for name, value in zip(kind.__match_args__, fields):
+        object.__setattr__(twin, name, value)
+    return twin
+
+
+@pytest.mark.parametrize("record, text", VERDICTS, ids=[type(record).__name__ for record, _ in VERDICTS])
+def test_a_verdict_is_a_frozen_record_of_its_fields(record, text):
+    kind, names = type(record), type(record).__match_args__
+    fields = tuple(getattr(record, name) for name in names)
+    assert repr(record) == text
+    twin = kind(*fields)
+    assert twin == record and not twin != record and hash(twin) == hash(record)
+    assert record != fields and fields != record
+    for other, _ in VERDICTS:
+        if type(other) is not kind and len(type(other).__match_args__) == len(names):
+            assert twin_of(type(other), fields) != record and record != twin_of(type(other), fields)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert kind(**dict(zip(names, fields))) == record
+    with pytest.raises(TypeError):
+        kind(*fields[:-1])
+    with pytest.raises(TypeError):
+        kind(*fields, extra=None)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(copied) is kind and copied == record
+    assert matched_fields(record) == fields
+    assert not isinstance(record, tuple) and not hasattr(record, "__dict__")
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -177,8 +249,25 @@ def test_kept_verdicts_stay_distinct_across_types():
         (lambda: HorizonMachine(abs, "abs", 3, (3, 3)), "strictly increasing"),
         (lambda: HorizonMachine(abs, "abs", 3, (4, 3)), "strictly increasing"),
         (lambda: HorizonMachine(abs, "abs", 3, ()), "must end at the current horizon"),
+        (lambda: LoopDetected(1, 2), "first_repeat_step >= period"),
+        (lambda: LoopDetected(2, 0), "period >= 1"),
+        (lambda: replace(LoopDetected(4, 2), period=0), "period >= 1"),
+        (lambda: TaggedSequence(((2, 1), (1, 1))), "strictly increasing"),
+        (lambda: TaggedSequence(((0, -1),)), "must be naturals"),
     ],
-    ids=["b-negative", "c-zero", "horizon-zero", "history-flat", "history-falls", "history-empty"],
+    ids=[
+        "b-negative",
+        "c-zero",
+        "horizon-zero",
+        "history-flat",
+        "history-falls",
+        "history-empty",
+        "loop-before-period",
+        "loop-period-zero",
+        "loop-replaced",
+        "tags-fall",
+        "value-negative",
+    ],
 )
 def test_public_construction_still_checks_its_fields(make, message):
     with pytest.raises(GodelsimError, match=message):
