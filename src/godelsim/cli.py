@@ -27,9 +27,7 @@ parser per call cost 1.8 ms a call and the shared one costs 0.07 ms, so
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import re
@@ -53,6 +51,7 @@ from .machine import (
     MachineParseError,
     MalformedIDError,
     Runner,
+    blank_id,
     count_symbols,
     load_machine_file,
     unary_id,
@@ -128,14 +127,23 @@ _PROTECT = str.maketrans({_ESC: _ESC + "0", _SEP: _ESC + "1", "\n": _ESC + "2"})
 _UNPROTECT = functools.partial(re.compile(_ESC + "(.)", re.S).sub, lambda m: (_ESC + _SEP + "\n")[int(m[1])])
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: in quotes, its quotes doubled, when it holds ``,``, ``"``, CR or LF.
+
+    By hand, since ``csv.writer`` differs by version: 3.10 cannot quote a
+    field that holds NUL, and 3.10 to 3.12 leave a lone CR unquoted.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_str(text: str) -> str:
-    """A string field as ``csv.writer`` writes it, protected for the spool."""
+    """A string field as ``_csv_field`` writes it, protected for the spool."""
     # Six `in` tests scan at memchr speed; a regular expression class took 5 ns a character.
     if not ("," in text or '"' in text or "\n" in text or "\r" in text or _ESC in text or _SEP in text):
         return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1].translate(_PROTECT)
+    return _csv_field(text).translate(_PROTECT)
 
 
 # The CSV text of a value after a JSON round trip, with None as an empty field;
@@ -277,7 +285,8 @@ class _Emitter:
         if self.spool is None:
             return
         columns = sorted({key for kid in self.used for key in self.kinds[kid]})
-        csv.writer(self.out, lineterminator="\n").writerow(columns)
+        # A lone empty column is quoted, so that the line is not empty.
+        self.out.write(",".join(map(_csv_field, columns)) + "\n" if columns != [""] else '""\n')
         # "%.0s" takes the kind id that starts a spooled line and writes nothing of it.
         splices = {
             str(kid): "%.0s" + ",".join([self.kinds[kid].get(col, "") for col in columns]) + "\n"
@@ -292,7 +301,7 @@ class _Emitter:
             row = splices[parts[0]] % tuple(parts)
             if _ESC in row:
                 row = _UNPROTECT(row)
-            write(row if row != "\n" else '""\n')  # as csv.writer writes one empty field
+            write(row if row != "\n" else '""\n')  # one empty field, quoted as in the header
 
     def close(self) -> None:
         if self.spool is not None:
@@ -337,7 +346,7 @@ def _parse_tagged(text: str) -> beta.TaggedSequence:
 def _parse_input_spec(spec: str, machine) -> ID:
     try:
         if spec == "blank":
-            return ID(machine.start_state, 0, {})
+            return blank_id(machine)
         if spec.startswith("unary:"):
             return unary_id(machine, int(spec.split(":", 1)[1]))
         if spec.startswith("cells:"):

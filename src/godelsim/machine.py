@@ -358,8 +358,6 @@ def _start_fingerprint(
     (Karp & Rabin 1987), and each write as its change over the base cell
     under it, (codes[write] - codes[base]) * r**cell.
     """
-    if not n and not writes:
-        return 0
     r, sum_inverse, _ = _fingerprint_factors(mod)
     base_code = codes[symbol] if n else 0
     fp = 0
@@ -415,15 +413,16 @@ class Runner:
     ones off the run instead, so a caller that wants only those (as
     ``run_for_ones`` and ``run_value`` do) builds no ``Halted``.
 
+    A run is driven one way, by ``run(budget, on_step=None)`` and the
+    functions built on it, and watched one way, by its ``on_step`` hook.
     Internally a halt or a loop is a sentinel, ``_HALTS`` or ``_LOOPS``
     (with the period in ``period``), and the ``Halted`` or
     ``LoopDetected`` it stands for is built only at the edge, where a
-    caller reads it (``_built``): in ``advance``, ``run``, ``run_for_ones``
-    and ``run_value``.  ``run`` without a step hook takes its steps in one
-    batched loop over local variables (``_steps``); ``_advance`` takes one
-    step, for callers that interleave runs (the dovetail scheduler, which
-    only counts a loop) or watch each step (``run`` with a hook), and
-    ``advance`` is ``_advance`` with its verdicts built.
+    caller reads it (``_built``): in ``run`` and ``run_for_ones``.  ``run``
+    without a step hook takes its steps in one batched loop over local
+    variables (``_steps``); ``_advance`` takes one step, for the dovetail
+    scheduler, which interleaves runs and only counts a loop, and for
+    ``run`` with a hook.
 
     With ``detect_loops`` each visited configuration is keyed by one int,
     ``fp + row``, where fp is the fingerprint
@@ -526,17 +525,8 @@ class Runner:
                 total += held == code
         return total
 
-    def advance(self) -> Optional[Halted | LoopDetected]:
-        """Take one step.
-
-        Returns ``Halted`` (and changes nothing) when no rule applies,
-        ``LoopDetected`` when the new configuration repeats an earlier one
-        up to translation, and ``None`` otherwise.
-        """
-        return self._built(self._advance())
-
     def _advance(self) -> Optional[object]:
-        """``advance`` with ``_HALTS`` and ``_LOOPS`` in place of the verdicts it builds."""
+        """Take one step: ``_LOOPS`` on a loop, ``_HALTS`` (changing nothing) on a halt, else ``None``."""
         tape, head = self.tape, self.head
         old = tape.get(head, self.miss)
         if old is None:
@@ -605,10 +595,6 @@ class Runner:
             code = self.base_code if 0 <= cell < self.base_len else 0
         return self.compiled.symbol_names[code]
 
-    def halted(self) -> Optional[Halted]:
-        """``Halted`` if no rule applies to the current configuration, else ``None``."""
-        return self._built(self._steps(0))
-
     def run(
         self, budget: int, on_step: Optional[Callable[["Runner"], None]] = None
     ) -> RunOutcome:
@@ -630,7 +616,7 @@ class Runner:
             on_step(self)
             if outcome is not None:
                 return self._built(outcome)
-        return self.halted() or BudgetExceeded(budget)
+        return self._built(self._steps(0)) or BudgetExceeded(budget)
 
     def _verdict(self, budget: int) -> BudgetExceeded | object:
         """``run(budget)`` without a step hook, with ``_HALTS`` and ``_LOOPS`` in place of its verdicts."""
@@ -762,12 +748,7 @@ class Runner:
         return _LOOPS
 
 
-def run_with_loop_detection(
-    machine: Machine,
-    start: ID,
-    budget: int,
-    on_visit: Optional[Callable[[int, ID], None]] = None,
-) -> RunOutcome:
+def run_with_loop_detection(machine: Machine, start: ID, budget: int) -> RunOutcome:
     """Run ``machine`` from ``start``, self-terminating on a repeated configuration.
 
     Every visited configuration is recorded up to translation; the run
@@ -776,15 +757,11 @@ def run_with_loop_detection(
     ``Halted`` wins if a halting configuration appears first, and
     ``BudgetExceeded`` is returned after ``budget`` steps without either;
     repetition detection cannot see tape-growing divergence, which is why
-    the budget backstop exists.
-
-    ``on_visit`` observes (step index, canonical configuration) for every
-    configuration visited, the start included.
+    the budget backstop exists.  A caller that watches each step builds a
+    ``Runner`` and passes its hook to ``Runner.run``, as ``gu run --trace``
+    does.
     """
-    on_step = None
-    if on_visit is not None:
-        on_step = lambda run: on_visit(run.steps, canonicalize(run.snapshot()))
-    return Runner(machine, start, limit=budget).run(budget, on_step)
+    return Runner(machine, start, limit=budget).run(budget)
 
 
 def naive_run(machine: Machine, start: ID, budget: int) -> Halted | BudgetExceeded:
@@ -849,18 +826,15 @@ def run_value(value: Optional[int]) -> int | LoopDetected:
 
     The budget follows from the value, so the run always reaches a verdict:
     the reader halts after exactly ``value`` steps, and the looper, run
-    under loop detection, repeats its start at step 2.  The looper takes
-    its two steps one at a time (``Runner._advance``), which for two steps
-    costs less than setting up the batched loop.  The reader runs
-    without loop detection, at the cost of its steps alone, and its ones
-    are read off the runner (``Runner.count``): no ``Halted`` and no final
-    ``ID`` is built.  A reader that did not halt would raise.
+    under loop detection by ``run_for_ones``, repeats its start at step 2.
+    The reader runs without loop detection, at the cost of its steps
+    alone, and its ones are read off the runner (``Runner.count``): no
+    ``Halted`` and no final ``ID`` is built.  A reader that did not halt
+    would raise.
     """
     machine, start = value_start(value)
     if value is None:
-        runner = Runner(machine, start, True, 2)
-        runner._advance()
-        return runner._built(runner._advance())
+        return run_for_ones(machine, start, 2)
     # No reader configuration can repeat, even up to translation: the head
     # moves right every step over a tape that never changes, so its offset
     # from the leftmost 1 rises, and loop detection could only ever answer

@@ -22,9 +22,11 @@ from godelsim.machine import (
     ID,
     Halted,
     LoopDetected,
+    canonicalize,
     count_symbols,
     parse_machine_text,
     run_with_loop_detection,
+    step,
     unary_id,
 )
 
@@ -948,27 +950,29 @@ def test_universe_sim_runs_each_machine_backed_t0_value_once(tmp_path, monkeypat
 
 
 def old_run_output(machine, start, budget, fmt):
-    """``gu run --trace`` exit code and stdout, built from ``run_with_loop_detection``
-    with every visit formatted from its sorted canonical tape and every record
-    held until the run ends."""
-    records = []
-
-    def on_visit(step, canon):
-        tape = " ".join(f"{cell}:{sym}" for cell, sym in sorted(canon.tape.items()))
-        records.append(
-            {"record": "visit", "step": step, "state": canon.state, "head": canon.head, "tape": tape}
-        )
-
-    outcome = run_with_loop_detection(machine, start, budget, on_visit)
+    """``gu run --trace`` exit code and stdout: the outcome from ``run_with_loop_detection``,
+    and every visit up to its step by plain stepping from ``start``, formatted from its
+    sorted canonical tape, with every record held until the run ends."""
+    outcome = run_with_loop_detection(machine, start, budget)
     if isinstance(outcome, Halted):
-        code = 0
+        code, last_step = 0, outcome.steps
         last = {"steps": outcome.steps, "ones": count_symbols(outcome.final_id), "kind": "halted"}
     elif isinstance(outcome, LoopDetected):
-        code = 2
+        code, last_step = 2, outcome.first_repeat_step
         last = {"first_repeat_step": outcome.first_repeat_step, "period": outcome.period,
                 "kind": "loop-detected"}
     else:
-        code, last = 3, {"budget": outcome.budget, "kind": "budget-exceeded"}
+        code, last_step = 3, outcome.budget
+        last = {"budget": outcome.budget, "kind": "budget-exceeded"}
+    records, desc = [], start
+    for index in range(last_step + 1):
+        if index:
+            desc = step(machine, desc)
+        canon = canonicalize(desc)
+        tape = " ".join(f"{cell}:{sym}" for cell, sym in sorted(canon.tape.items()))
+        records.append(
+            {"record": "visit", "step": index, "state": canon.state, "head": canon.head, "tape": tape}
+        )
     records.append({"record": "outcome", **last})
     if fmt == "jsonl":
         return code, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
@@ -1016,16 +1020,29 @@ def test_run_trace_matches_library_records_on_random_machines(tmp_path):
 # --- record kinds against json.dumps and the CSV of a JSON round trip -------------
 
 
+def csv_line(fields):
+    """One row as ``csv.writer`` writes it, by the same rule on every Python.
+
+    The writer ends its line with CRLF, trimmed to LF after, because 3.10 to
+    3.12 quote a CR only as a character of the line end (3.13 always does).
+    NUL passes the writer as U+E000, which no field here holds, because the
+    3.10 writer cannot write NUL.
+    """
+    fields = [str(field) for field in fields]
+    assert not any("\ue000" in field for field in fields)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow([field.replace("\x00", "\ue000") for field in fields])
+    return out.getvalue()[:-2].replace("\ue000", "\x00") + "\n"
+
+
 def csv_round_trip(records):
     """CSV as every record once came out: ``csv.writer`` over ``json.loads(json.dumps(r))``."""
-    out = io.StringIO()
     columns = sorted({key for r in records for key in r})
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
+    lines = [csv_line(columns)]
     for r in records:
         r = json.loads(json.dumps(r, sort_keys=True))
-        writer.writerow(["" if r.get(col) is None else r.get(col) for col in columns])
-    return out.getvalue()
+        lines.append(csv_line(["" if r.get(col) is None else r.get(col) for col in columns]))
+    return "".join(lines)
 
 
 KEYS = ["record", "a", "b", "step", "k,1", 'q"t', "\u00e9t\u00e9", "n\r\nl", "%s", "x y", "\x1b", "\x1f"]
@@ -1088,6 +1105,38 @@ def test_kind_writers_match_json_dumps_and_the_csv_round_trip():
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+# A lone CR, and NUL beside a comma: csv.writer leaves the first unquoted on 3.10 to
+# 3.12, and cannot quote the second on 3.10.
+ODD_CONFIG = {
+    "properties": ["a\rb", "c,\x00"],
+    "particles": [{"id": 1, "providers": {"a\rb": "uniform:constant,value=1", "c,\x00": "uniform:constant,value=2"}}],
+}
+ODD_SIM_CSV = (
+    '"a\rb","c,\x00",classification,fundamental,horizon_limited,initial_materialized,particle,'
+    "particles,predictable,random,record,t,undetermined,window\n"
+    "1,2,,,,,1,,,,signature,0,,\n"
+    ',,pre-destined,1,,1,,1,,,report,,"1.a\rb 1.c,\x00",3\n'
+)
+
+
+def test_a_lone_cr_and_a_nul_with_a_comma_are_quoted_alike_on_every_python(tmp_path):
+    records = [{"a\rb": 1, "c,\x00": "x", "v": "d\re"}, {"a\rb": 1, "c,\x00": "x", "v": "f,\x00"}]
+    expected = '"a\rb","c,\x00",v\n1,x,"d\re"\n1,x,"f,\x00"\n'
+    assert csv_round_trip(records) == expected
+    out = io.StringIO()
+    emit = cli._Emitter("csv", out)
+    write = emit.kind("v", **{"a\rb": 1, "c,\x00": "x"})
+    write("d\re")
+    write("f,\x00")
+    emit.finish()
+    emit.close()
+    assert out.getvalue() == expected
+    config = tmp_path / "odd.json"
+    config.write_text(json.dumps(ODD_CONFIG), encoding="utf-8")
+    code, out, err = invoke("--format", "csv", "universe", "sim", "--config", str(config), "--steps", "1")
+    assert (code, out, len(err.splitlines())) == (0, ODD_SIM_CSV, 1)
 
 
 def test_a_kind_with_a_repeated_key_is_refused():

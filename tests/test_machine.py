@@ -230,16 +230,6 @@ def test_translation_equivariance_on_random_pairs():
             assert canonicalize(direct) == canonicalize(via_canonical)
 
 
-def test_visit_observer_sees_canonical_start():
-    machine = writer_machine(2)
-    visits = []
-    run_with_loop_detection(
-        machine, ID(machine.start_state, 0, {}), 10, lambda s, d: visits.append((s, d))
-    )
-    assert visits[0] == (0, ID("w0", 0, {}))
-    assert len(visits) == 3  # start plus two writes
-
-
 MACHINE_TEXT = """\
 # toy machine
 states: q0 q1
@@ -524,12 +514,12 @@ def test_a_foreign_tape_symbol_gets_a_code_past_the_alphabet_with_no_rule():
 
 
 def advance_loop(runner, budget):
-    """``runner.run(budget)`` taken one ``advance`` call a step."""
+    """``runner.run(budget)`` taken one ``_advance`` call a step, each outcome built as ``run`` builds it."""
     for _ in range(budget):
-        outcome = runner.advance()
+        outcome = runner._built(runner._advance())
         if outcome is not None:
             return outcome
-    return runner.halted() or BudgetExceeded(budget)
+    return runner._built(runner._steps(0)) or BudgetExceeded(budget)
 
 
 def settle(runner, run, budget):
