@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, mod, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import GodelsimError, _Frozen
@@ -19,6 +21,8 @@ from . import GodelsimError, _Frozen
 
 # Predicted values wait in a list of about this many before they are tallied.
 _TALLY_BUFFER = 1 << 16
+# The sieve tests the one candidate b of this many c at a time past its split.
+_CHUNK = 1 << 12
 
 
 class EmptyMatchSetError(GodelsimError):
@@ -160,13 +164,16 @@ def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, in
     ``range(b, bound + 1, step)``: step is the modulus of the merged
     congruences, or a number past the bound once only b itself is left.
 
-    The sieve is exact because a CRT merge never lowers the least residue
-    (the new one is the old plus a nonnegative multiple of the old
-    modulus), so a c is dropped at the first merge whose residue passes
-    the bound.  The first two congruences merge in closed form, one cheap
-    test per c; only the c that survive it reach gcd and pow.  Once
-    2c+1 > |2(v1-v0)| that closed form stops wrapping and never decreases
-    as c grows, so the sieve ends at the first such c it drops.
+    The first two congruences merge in closed form, b2(c), one cheap test
+    per c.  Once 2c+1 > |2(v1-v0)| that form stops wrapping and never
+    decreases as c grows, so the sieve ends at the first such c it drops.
+    The sieve has two regions, split at the least c with (c+1)(2c+1) > bound.
+    Below it, a c that survives b2 merges its later congruences by gcd and
+    pow, one c at a time, and is dropped at the first merge whose residue
+    passes the bound: a CRT merge never lowers the least residue.  From it
+    on, the merged modulus of the first two values passes the bound, so
+    b2(c) is the one candidate: the sieve finds its end by bisection and
+    tests whole chunks of c at once, each later value a plain remainder.
     """
     _check_sequence(seq)
     if bound < 1:
@@ -175,8 +182,7 @@ def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, in
     first = max(1, *(-(-value // (i + 1)) for i, value in enumerate(seq)))
     v0 = seq[0]
     if len(seq) == 1:
-        for c in range(first, bound + 1):
-            yield c, v0, c + 1
+        yield from zip(range(first, bound + 1), repeat(v0), range(first + 1, bound + 2))
         return
     # b = v0 (mod c+1) and b = v1 (mod 2c+1): the moduli are coprime and
     # 2(c+1) = 1 (mod 2c+1), so the least b is v0 + (c+1)*(2(v1-v0) mod 2c+1).
@@ -184,13 +190,17 @@ def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, in
     # itself, or 2c+1 plus it when negative: in both cases b grows with c.
     twice_gap = 2 * (seq[1] - v0)
     settled = abs(seq[1] - v0)
+    split = bound + 1
     for c in range(first, bound + 1):
+        modulus = (c + 1) * (2 * c + 1)
+        if modulus > bound:
+            split = c
+            break
         residue = v0 + (c + 1) * (twice_gap % (2 * c + 1))
         if residue > bound:
             if c >= settled:
                 return
             continue
-        modulus = (c + 1) * (2 * c + 1)
         for i in range(2, len(seq)):
             if modulus > bound:
                 # At most one b <= bound is left: test it directly.
@@ -208,6 +218,27 @@ def _realizations(seq: Sequence[int], bound: int) -> Iterator[tuple[int, int, in
                 break
         else:
             yield c, residue, modulus
+    # From split on: the sieve ends at the first c >= settled whose b2 passes the bound.
+    low, end = max(split, settled), bound + 1
+    while low < end:
+        mid = (low + end) // 2
+        if v0 + (mid + 1) * (twice_gap % (2 * mid + 1)) > bound:
+            end = mid
+        else:
+            low = mid + 1
+    for start in range(split, end, _CHUNK):
+        stop = min(start + _CHUNK, end)
+        cs = range(start, stop)
+        bs = list(map(v0.__add__, map(mul, range(start + 1, stop + 1),
+                                      map(twice_gap.__mod__, range(2 * start + 1, 2 * stop + 1, 2)))))
+        if start < settled:  # below settled, b2 wraps and may pass the bound
+            keep = list(map(bound.__ge__, bs))
+            cs, bs = list(compress(cs, keep)), list(compress(bs, keep))
+        for j in range(2, len(seq)):
+            moduli = map(add, map(mul, cs, repeat(j + 1)), repeat(1))
+            keep = list(map(seq[j].__eq__, map(mod, bs, moduli)))
+            cs, bs = list(compress(cs, keep)), list(compress(bs, keep))
+        yield from zip(cs, bs, repeat(bound + 1))
 
 
 def enumerate_matches(seq: Sequence[int], bound: int) -> list[BetaPair]:

@@ -604,7 +604,9 @@ def cmd_universe(args: argparse.Namespace, emit: _Emitter) -> _Result:
         order = sorted(particle.providers)
         cells = []
         for k in order:
-            last = series[particle.id, k] = deque(maxlen=window)
+            # A series never holds more than ``steps`` values, and a deque's maxlen
+            # must fit a C ssize_t: a longer window keeps the same values.
+            last = series[particle.id, k] = deque(maxlen=min(window, steps))
             cells.append((owners[names[k]], universe.value_function(particle.providers[k]), last.append))
         # A uniform rule's values are ints; a horizon column also holds "horizon-exceeded".
         uniform = [names[k] for k in order if isinstance(particle.providers[k], universe.UniformProvider)]

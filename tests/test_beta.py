@@ -15,6 +15,7 @@ from godelsim.beta import (
     EmptyMatchSetError,
     TagCollisionError,
     TaggedSequence,
+    _realizations,
     beta_encode,
     beta_eval,
     enumerate_matches,
@@ -311,6 +312,18 @@ def test_prediction_memory_at_bench_scale():
     assert peak < 4_000_000
 
 
+def test_sieve_memory_is_flat_in_the_bound():
+    # Past split the sieve holds one chunk of 2**12 candidates, not one per c.
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _realizations([10, 11], 2 * 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 99_985
+    assert peak < 1_000_000
+
+
 def test_encode_moduli_are_pairwise_coprime():
     rng = random.Random(83)
     for n in range(1, 41):
@@ -379,6 +392,17 @@ def test_sieve_stop_equals_a_test_of_every_c():
     cases = [([5, 9], 3000), ([9, 5], 3000), ([7, 7], 3000), ([7, 3], 1), ([40, 2], 25),
              ([0, 50], 100), ([2, 90, 1], 400), ([3000, 3001], 2999), ([12, 0, 12], 3000),
              ([0, 0], 2), ([1], 3000)]
+    # From split, the least c with (c+1)(2c+1) > bound, the sieve tests each c's one
+    # candidate in bulk.  Bounds on each side of split, for c = 3, 10 and 40:
+    for c in (3, 10, 40):
+        for bound in ((c + 1) * (2 * c + 1) - 1, (c + 1) * (2 * c + 1), (c + 1) * (2 * c + 1) + 1):
+            cases += [(seq, bound) for seq in ([0, 0], [5, 9], [2, 0], [3, 3, 3], [1, 2, 0, 4])]
+    # |v1 - v0| past split, so a wrapping candidate sits inside the bulk; later values
+    # that drop most single-candidate c ([44, 72, 31, 86] is (b, c) = (2900, 50) at
+    # indices 0..3); and a bulk of two chunks (2**12 c each).
+    cases += [([0, 500], 3000), ([500, 0], 3000), ([17, 640, 3], 3000), ([1, 2, 3, 4, 5], 3000),
+              ([44, 72, 31, 86], 3000), ([4, 1, 0, 2, 4], 3000),
+              ([6, 6], 4300), ([2, 2, 2], 4300), ([3, 0, 3], 4300)]
     for _ in range(60):
         v0 = rng.choice([rng.randint(0, 5), rng.randint(0, 60)])
         v1 = rng.choice([v0, v0 + rng.randint(1, 60), max(0, v0 - rng.randint(1, 60))])

@@ -1236,6 +1236,23 @@ def test_universe_sim_memory_is_flat_in_the_steps():
     assert peak(10_000) < 1.5 * peak(1_000)
 
 
+def test_universe_sim_takes_a_window_past_the_machine_word(tmp_path):
+    # A deque's maxlen must fit a C ssize_t; a window past the steps keeps them all.
+    huge = 10**30
+    config = tmp_path / "wide.json"
+    data = json.loads(resources.files("godelsim").joinpath("data/configs/uniform_pair.json").read_text())
+    config.write_text(json.dumps({**data, "window": huge}), encoding="utf-8")
+    _, narrow, _ = invoke("universe", "sim", "--config", "uniform_pair", "--window", "6")
+    for argv in (("--config", "uniform_pair", "--window", str(huge)), ("--config", str(config))):
+        code, out, err = invoke("universe", "sim", *argv)
+        assert code == 0 and "Traceback" not in err
+        (manifest,) = records_of(err)
+        assert manifest["record"] == "manifest" and json.loads(manifest["inputs"])["window"] == huge
+        *rows, report = records_of(out)
+        assert report["record"] == "report" and report["window"] == huge
+        assert rows + [{**report, "window": 6}] == records_of(narrow)
+
+
 def test_dovetail_memory_is_flat_in_the_global_budget():
     def peak(budget):
         task = corpus_path("grow_right.tm") + "=zero-of"
